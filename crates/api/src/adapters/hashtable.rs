@@ -2,7 +2,7 @@
 //! (the arXiv:2503.21016 direction): the first big-state, array-valued
 //! memory representation behind the facade.
 
-use hi_core::objects::{HashSetOp, HashSetResp, HashSetSpec};
+use hi_core::objects::{HashSetOp, HashSetResp, HashSetSpec, KeySetSpec};
 use hi_hashtable::threaded::AtomicHiHashTable;
 
 use crate::object::{ConcurrentObject, HiLevel, ObjectHandle, Progress, Roles};
@@ -45,11 +45,6 @@ impl HashTableObject {
     /// [`abstract_state`](ConcurrentObject::abstract_state) reports loudly.
     pub fn backend(&self) -> &AtomicHiHashTable {
         &self.table
-    }
-
-    /// The canonical slot array of a state mask, via the sequential oracle.
-    fn canonical_slots(&self, state: u64) -> Vec<u64> {
-        hi_hashtable::canonical_slots_of_mask(self.table.capacity(), self.spec.t(), state)
     }
 }
 
@@ -114,24 +109,16 @@ impl ConcurrentObject<HashSetSpec> for HashTableObject {
     }
 
     fn mem_snapshot(&self) -> Vec<u64> {
-        // The slot array is the memory representation; the seqlock word is
-        // synchronization state (see the backend's module docs).
-        self.table.memory().iter().map(|&k| u64::from(k)).collect()
+        // The bare slot array is the memory representation; the seqlock
+        // word is synchronization state (see the backend's module docs).
+        self.table.view()
     }
 
     fn canonical(&self, state: &u64) -> Option<Vec<u64>> {
-        Some(self.canonical_slots(*state))
+        Some(self.table.canonical_view(self.spec.keys_of_state(state)))
     }
 
     fn abstract_state(&self) -> u64 {
-        self.table.keys().into_iter().fold(0u64, |mask, k| {
-            assert!(
-                (1..=self.spec.t()).contains(&k),
-                "backend holds out-of-domain key {k} (domain 1..={}): \
-                 was it mutated through backend() with unchecked keys?",
-                self.spec.t()
-            );
-            mask | (1 << k)
-        })
+        self.spec.state_from_keys(&self.table.keys())
     }
 }

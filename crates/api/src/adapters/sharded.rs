@@ -25,7 +25,7 @@ use std::time::Duration;
 use hi_core::objects::{HashSetOp, HashSetResp, KeySetSpec};
 use hi_core::SplitMix64;
 use hi_hashtable::displacement;
-use hi_shard::{cap_for, ShardedHiHashTable};
+use hi_shard::ShardedHiHashTable;
 
 use crate::object::{
     ConcurrentObject, HiLevel, MaintenanceSnapshot, ObjectHandle, Progress, Roles, SampledAudit,
@@ -91,14 +91,8 @@ impl<S: KeySetSpec> ShardedTableObject<S> {
         let mut cells_spot_checked = 0usize;
         for s in 0..shards {
             let shard = self.table.shard(s);
-            let view = shard.view();
-            let cap = view[0] as usize;
-            let cells = &view[1..];
-            let keys: Vec<u32> = cells
-                .iter()
-                .filter(|&&v| v != 0)
-                .map(|&v| v as u32)
-                .collect();
+            let (cells, keys) = (shard.memory(), shard.keys());
+            let cap = cells.len();
             // Routing and domain hold in every shard, sampled or not: a
             // misplaced key can hide from the canonical comparison of its
             // *home* shard, so this scan is what catches cross-shard
@@ -120,7 +114,7 @@ impl<S: KeySetSpec> ShardedTableObject<S> {
                 continue;
             }
             if chosen.contains(&s) {
-                let canonical = shard.canonical_view(keys.iter().copied());
+                let (view, canonical) = (shard.view(), shard.canonical_view(keys));
                 if view != canonical {
                     failure = Some(format!(
                         "shard {s}: observed {view:?} != canonical {canonical:?}"
@@ -131,11 +125,11 @@ impl<S: KeySetSpec> ShardedTableObject<S> {
                 // the capacity word is the pure function of the key count,
                 // and every stored key heads a gap-free Robin Hood run.
                 cells_spot_checked += cells.len();
-                if cap != cap_for(keys.len(), shard.base()) {
+                let want = shard.capacity_for(keys.len());
+                if cap != want {
                     failure = Some(format!(
-                        "shard {s}: capacity word {cap} for {} keys (want {})",
-                        keys.len(),
-                        cap_for(keys.len(), shard.base())
+                        "shard {s}: capacity word {cap} for {} keys (want {want})",
+                        keys.len()
                     ));
                     continue;
                 }
@@ -143,7 +137,7 @@ impl<S: KeySetSpec> ShardedTableObject<S> {
                     if v == 0 {
                         continue;
                     }
-                    let d = displacement(v as u32, i, cap);
+                    let d = displacement(v, i, cap);
                     let prev = cells[(i + cap - 1) % cap];
                     if d > 0 && prev == 0 {
                         failure = Some(format!(

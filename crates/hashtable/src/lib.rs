@@ -23,22 +23,36 @@
 //! following the authors' follow-up *History-Independent Concurrent Hash
 //! Tables* (arXiv:2503.21016): insert, remove and lookup interleave
 //! arbitrarily, lookups are lock-free, and the slot array is canonical at
-//! every state-quiescent point. [`sim::SimHiHashTable`] is its slot-level
-//! simulator twin, pluggable into `hi_sim`/`hi_spec` for scheduler-driven
-//! auditing.
+//! every state-quiescent point. It is the one seqlocked Robin Hood arena of
+//! the workspace: [`AtomicHiHashTable::new`] fixes its capacity, and
+//! [`AtomicHiHashTable::resizable`] makes the live capacity the pure
+//! function [`cap_for`] of the key count, migrating in place with
+//! [`resize::rewrite_plan`]. The sharded table of `hi_shard` is a
+//! [`shard_of`] router over resizable arenas.
 //!
-//! [`seq::TombstoneHashTable`] is the contrast: classic tombstone deletion
-//! leaks deleted keys' past presence — the table equivalent of the §4
-//! register leak.
+//! The modules:
+//!
+//! * [`seq`] — the sequential canonical table and the leaky tombstone
+//!   contrast ([`seq::TombstoneHashTable`] leaks deleted keys' past
+//!   presence — the table equivalent of the §4 register leak).
+//! * [`phase`] — the phase-concurrent table of Shun and Blelloch.
+//! * [`threaded`] — the phase-free arena, fixed or resizable.
+//! * [`resize`] — the never-absent in-place migration order.
+//! * [`sim`] — one slot-level step machine, pluggable into
+//!   `hi_sim`/`hi_spec`, behind both simulator twins:
+//!   [`SimHiHashTable`] (one fixed arena) and [`SimShardedTable`] (a
+//!   [`shard_of`] router over resizable arenas).
 
 pub mod phase;
+pub mod resize;
 pub mod seq;
 pub mod sim;
 pub mod threaded;
 
 pub use phase::AtomicHashTable;
+pub use resize::rewrite_plan;
 pub use seq::{HiHashTable, TombstoneHashTable};
-pub use sim::SimHiHashTable;
+pub use sim::{SimHiHashTable, SimShardedTable};
 pub use threaded::AtomicHiHashTable;
 
 /// The hash function shared by all tables: a fixed multiplicative hash.
@@ -85,15 +99,30 @@ pub fn canonical_layout(capacity: usize, keys: impl IntoIterator<Item = u32>) ->
     oracle.memory().to_vec()
 }
 
-/// [`canonical_layout`] of a `HashSetSpec`-style state bitmask (bit `e` set
-/// iff element `e` of `1..=t` is present), widened to the `Vec<u64>` shape
-/// all `mem(C)` snapshots use. The one oracle both the threaded facade
-/// adapter and the sim twin audit against.
-pub fn canonical_slots_of_mask(capacity: usize, t: u32, state: u64) -> Vec<u64> {
-    canonical_layout(capacity, (1..=t).filter(|e| state & (1 << e) != 0))
-        .into_iter()
-        .map(u64::from)
-        .collect()
+/// The shard map: a fixed multiplicative split-hash, decorrelated from the
+/// in-shard probe hash ([`slot_of`]) by a different odd constant so a shard
+/// does not concentrate its keys on few home slots. Fixed (not randomized)
+/// for the same reason as the probe hash: the canonical representation
+/// must be determined at initialization.
+pub fn shard_of(key: u32, shards: usize) -> usize {
+    debug_assert!(key != 0, "key 0 is reserved for empty slots");
+    let h = u64::from(key).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    ((h >> 32) as usize) % shards
+}
+
+/// The capacity a resizable arena holding `count` keys must have: the
+/// smallest `base << i` with `4 * count <= 3 * cap` (load factor at most
+/// 3/4, so at least one slot is always empty and every probe walk
+/// terminates). A pure function of the key count — *the* property that
+/// keeps capacity inside the canonical representation instead of leaking
+/// resize history.
+pub fn cap_for(count: usize, base: usize) -> usize {
+    assert!(base >= 1, "capacity base must be at least 1");
+    let mut cap = base;
+    while 4 * count > 3 * cap {
+        cap *= 2;
+    }
+    cap
 }
 
 /// The Robin Hood carry of `key` through the contiguous occupied `run`
@@ -132,6 +161,72 @@ pub fn carry_writes(key: u32, a: usize, run: &[u32], capacity: usize) -> Vec<(us
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_map_is_total_and_fixed() {
+        for shards in 1..=8 {
+            for key in 1..=1_000u32 {
+                let s = shard_of(key, shards);
+                assert!(s < shards);
+                assert_eq!(s, shard_of(key, shards), "routing must be stable");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_map_spreads_a_dense_domain() {
+        let shards = 8;
+        let mut counts = vec![0usize; shards];
+        for key in 1..=4096u32 {
+            counts[shard_of(key, shards)] += 1;
+        }
+        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+        assert!(
+            max - min < 4096 / shards,
+            "shard occupancy {counts:?} is badly unbalanced"
+        );
+    }
+
+    #[test]
+    fn cap_is_a_pure_step_function_of_count() {
+        assert_eq!(cap_for(0, 1), 1);
+        assert_eq!(cap_for(1, 1), 2);
+        assert_eq!(cap_for(2, 1), 4);
+        assert_eq!(cap_for(3, 1), 4);
+        assert_eq!(cap_for(4, 1), 8);
+        assert_eq!(cap_for(0, 2), 2);
+        assert_eq!(cap_for(1, 2), 2);
+        assert_eq!(cap_for(2, 2), 4);
+        for count in 0..10_000 {
+            let cap = cap_for(count, 2);
+            assert!(4 * count <= 3 * cap, "load bound violated at {count}");
+            assert!(cap > count, "no empty slot left at {count}");
+            // Minimality: the next level down would break the load bound.
+            if cap > 2 {
+                assert!(
+                    4 * count > 3 * (cap / 2),
+                    "cap {cap} not minimal at {count}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_op_moves_capacity_at_most_one_level() {
+        // An insert or remove changes the count by one; the capacity rule
+        // must then move by at most one doubling, which is what bounds a
+        // migration to one rewrite.
+        for base in [1usize, 2, 4] {
+            for count in 1..5_000usize {
+                let here = cap_for(count, base);
+                let below = cap_for(count - 1, base);
+                assert!(
+                    here == below || here == below * 2,
+                    "count {count} base {base}: cap jumped {below} -> {here}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn displacement_wraps() {

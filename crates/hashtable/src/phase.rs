@@ -135,16 +135,6 @@ impl AtomicHashTable {
         );
     }
 
-    /// Table-wide duplicate check, used by the debug phase-boundary
-    /// enforcement: the first key occupying two slots, if any.
-    fn first_duplicate(&self) -> Option<u32> {
-        let mut seen = std::collections::HashSet::new();
-        self.slots
-            .iter()
-            .map(|s| s.load(ORD))
-            .find(|&k| k != 0 && !seen.insert(k))
-    }
-
     /// Lookup-phase operation: membership test, callable concurrently.
     ///
     /// Sound only within a lookup phase (no concurrent inserts/deletes),
@@ -175,12 +165,18 @@ impl AtomicHashTable {
     /// the table-wide scan is exact — see
     /// [`insert`](AtomicHashTable::insert)'s contract).
     pub fn remove(&mut self, key: u32) -> bool {
+        // Debug phase-boundary enforcement: the first key occupying two
+        // slots, if any, is a violated insert-phase contract.
         #[cfg(debug_assertions)]
-        if let Some(dup) = self.first_duplicate() {
-            panic!(
-                "phase contract violated: key {dup} occupies multiple slots \
-                 (racing duplicate inserts in the preceding phase?)"
-            );
+        {
+            let mut seen = std::collections::HashSet::new();
+            let mut keys = self.slots.iter().map(|s| s.load(ORD));
+            if let Some(dup) = keys.find(|&k| k != 0 && !seen.insert(k)) {
+                panic!(
+                    "phase contract violated: key {dup} occupies multiple slots \
+                     (racing duplicate inserts in the preceding phase?)"
+                );
+            }
         }
         let mut seq = self.to_sequential();
         let removed = seq.remove(key);

@@ -2,7 +2,7 @@
 //! into another **in place**, in an order that never makes a surviving key
 //! absent — the resize-sized generalization of the Robin Hood carry's
 //! duplicate-then-overwrite discipline
-//! ([`carry_writes`](hi_hashtable::carry_writes)).
+//! ([`carry_writes`](crate::carry_writes)).
 //!
 //! # The hazard, and the order that avoids it
 //!
@@ -141,8 +141,8 @@ pub fn rewrite_plan(current: &[u32], target: &[u32]) -> Vec<(usize, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical_layout;
     use hi_core::SplitMix64;
-    use hi_hashtable::canonical_layout;
 
     /// Applies `plan` to a copy of `current`, asserting the never-absent
     /// and no-invented-keys invariants at every write prefix. Returns the

@@ -7,13 +7,12 @@
 //!
 //! # Why sharding composes with history independence
 //!
-//! A single [`AtomicHiHashTable`](hi_hashtable::AtomicHiHashTable) is
-//! capacity-fixed, and auditing it at scale means linearizing the whole
-//! table at once. Partitioning the domain by a fixed **shard map**
-//! ([`shard_of`]: split-hash → shard) makes each shard an independent HI
-//! object over its slice of the key set, in the style of segmented
-//! invariant confluence: the global canonical representation is the
-//! concatenation of the shards' canonical representations, because
+//! Auditing one big table at scale means linearizing the whole table at
+//! once. Partitioning the domain by a fixed **shard map** ([`shard_of`]:
+//! split-hash → shard) makes each shard an independent HI object over its
+//! slice of the key set, in the style of segmented invariant confluence:
+//! the global canonical representation is the concatenation of the shards'
+//! canonical representations, because
 //!
 //! * the shard map is a *fixed function of the key* (no history in the
 //!   routing), and
@@ -35,120 +34,23 @@
 //! update crosses a capacity boundary, the updating thread rewrites the
 //! shard in place under the shard's update lock, using the same
 //! duplicate-then-overwrite hazard discipline as the Robin Hood carries:
-//! the [`resize::rewrite_plan`] write order guarantees a surviving key is
-//! **never absent from the arena at any write prefix**, so concurrent
-//! lock-free lookups can sight present keys all the way through a
-//! migration (absent verdicts already revalidate the seqlock).
+//! the [`rewrite_plan`] write order guarantees a surviving key is **never
+//! absent from the arena at any write prefix**, so concurrent lock-free
+//! lookups can sight present keys all the way through a migration (absent
+//! verdicts already revalidate the seqlock).
 //!
 //! The pieces:
 //!
-//! * [`shard_of`] / [`cap_for`] — the pure routing and capacity rules.
-//! * [`resize::rewrite_plan`] — the canonical-to-canonical in-place
-//!   migration order (chains and cycles, far-end first).
-//! * [`threaded::ShardedHiHashTable`] — the concurrent table of tables.
-//! * [`sim::SimShardedTable`] — its slot-level simulator twin, whose
-//!   `hi_audit` composes per-shard `DirectCanonical` views.
+//! * [`threaded::ShardedHiHashTable`] — the concurrent table of tables: a
+//!   [`shard_of`] router over resizable
+//!   [`AtomicHiHashTable`](hi_hashtable::AtomicHiHashTable) arenas.
+//! * Re-exported from `hi_hashtable`, where the one arena and the one sim
+//!   step machine live: the pure rules [`shard_of`] and [`cap_for`], the
+//!   migration order [`rewrite_plan`], and the simulator twin
+//!   [`SimShardedTable`], whose `hi_audit` composes per-shard
+//!   `DirectCanonical` views.
 
-pub mod resize;
-pub mod sim;
 pub mod threaded;
 
-pub use resize::rewrite_plan;
-pub use sim::SimShardedTable;
-pub use threaded::{ResizableHiShard, ShardedHiHashTable};
-
-/// The shard map: a fixed multiplicative split-hash, decorrelated from the
-/// in-shard probe hash ([`hi_hashtable::slot_of`]) by a different odd
-/// constant so a shard does not concentrate its keys on few home slots.
-/// Fixed (not randomized) for the same reason as the probe hash: the
-/// canonical representation must be determined at initialization.
-pub fn shard_of(key: u32, shards: usize) -> usize {
-    debug_assert!(key != 0, "key 0 is reserved for empty slots");
-    let h = u64::from(key).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    ((h >> 32) as usize) % shards
-}
-
-/// The capacity a shard holding `count` keys must have: the smallest
-/// `base << i` with `4 * count <= 3 * cap` (load factor at most 3/4, so at
-/// least one slot is always empty and every probe walk terminates). A pure
-/// function of the key count — *the* property that keeps capacity inside
-/// the canonical representation instead of leaking resize history.
-pub fn cap_for(count: usize, base: usize) -> usize {
-    assert!(base >= 1, "capacity base must be at least 1");
-    let mut cap = base;
-    while 4 * count > 3 * cap {
-        cap *= 2;
-    }
-    cap
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_map_is_total_and_fixed() {
-        for shards in 1..=8 {
-            for key in 1..=1_000u32 {
-                let s = shard_of(key, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(key, shards), "routing must be stable");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_map_spreads_a_dense_domain() {
-        let shards = 8;
-        let mut counts = vec![0usize; shards];
-        for key in 1..=4096u32 {
-            counts[shard_of(key, shards)] += 1;
-        }
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(
-            max - min < 4096 / shards,
-            "shard occupancy {counts:?} is badly unbalanced"
-        );
-    }
-
-    #[test]
-    fn cap_is_a_pure_step_function_of_count() {
-        assert_eq!(cap_for(0, 1), 1);
-        assert_eq!(cap_for(1, 1), 2);
-        assert_eq!(cap_for(2, 1), 4);
-        assert_eq!(cap_for(3, 1), 4);
-        assert_eq!(cap_for(4, 1), 8);
-        assert_eq!(cap_for(0, 2), 2);
-        assert_eq!(cap_for(1, 2), 2);
-        assert_eq!(cap_for(2, 2), 4);
-        for count in 0..10_000 {
-            let cap = cap_for(count, 2);
-            assert!(4 * count <= 3 * cap, "load bound violated at {count}");
-            assert!(cap > count, "no empty slot left at {count}");
-            // Minimality: the next level down would break the load bound.
-            if cap > 2 {
-                assert!(
-                    4 * count > 3 * (cap / 2),
-                    "cap {cap} not minimal at {count}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_op_moves_capacity_at_most_one_level() {
-        // An insert or remove changes the count by one; the capacity rule
-        // must then move by at most one doubling, which is what bounds a
-        // migration to one rewrite.
-        for base in [1usize, 2, 4] {
-            for count in 1..5_000usize {
-                let here = cap_for(count, base);
-                let below = cap_for(count - 1, base);
-                assert!(
-                    here == below || here == below * 2,
-                    "count {count} base {base}: cap jumped {below} -> {here}"
-                );
-            }
-        }
-    }
-}
+pub use hi_hashtable::{cap_for, rewrite_plan, shard_of, SimShardedTable};
+pub use threaded::ShardedHiHashTable;

@@ -1,37 +1,15 @@
-//! The concurrent sharded HI hash table: a table of independently locked,
-//! independently **resizable** Robin Hood shards, phase-free like
-//! [`AtomicHiHashTable`](hi_hashtable::AtomicHiHashTable) — inserts,
-//! removes and lookups interleave arbitrarily — but with per-shard update
-//! locks (updates to *different* shards run fully in parallel) and online
-//! capacity migration.
+//! The concurrent sharded HI hash table: a fixed [`shard_of`] router over
+//! independently locked, independently **resizable** Robin Hood arenas
+//! ([`AtomicHiHashTable::resizable`]). It is phase-free like a single
+//! arena — inserts, removes and lookups interleave arbitrarily, lookups are
+//! lock-free — but updates to *different* shards run fully in parallel, and
+//! each shard migrates online to [`cap_for`](crate::cap_for) of its own key count (see the
+//! `hi_hashtable::threaded` docs for the protocol).
 //!
-//! # Protocol
-//!
-//! Each [`ResizableHiShard`] runs the seqlock protocol of the single
-//! table: updates CAS the shard's `seq` word even→odd, rewrite slots, and
-//! store `+2`; lookups are lock-free, sighting keys without validation and
-//! revalidating `seq` for absent verdicts. Two extensions:
-//!
-//! * **Logical capacity.** The shard owns a fixed physical arena (sized
-//!   once, from the worst-case key count of its domain slice) but uses
-//!   only a prefix `0..cap`, where `cap` is [`cap_for`]`(len, base)` — a
-//!   pure function of the key count. `cap` lives in an atomic read by
-//!   lookups; it only changes inside the seqlock critical section, so the
-//!   lookup's existing `seq` validation covers it for free.
-//! * **Online resize.** When an update crosses a capacity boundary it
-//!   migrates the shard *before* finishing: it snapshots the arena,
-//!   computes the target canonical image at the new capacity, and applies
-//!   [`rewrite_plan`](crate::resize::rewrite_plan)'s never-absent write
-//!   order, then publishes the new `cap`. Lookups running through the
-//!   migration can still sight every surviving key; absent verdicts retry
-//!   because `seq` is odd. Off-boundary updates take the same O(probe-run)
-//!   fast paths as the single table (shared
-//!   [`carry_writes`](hi_hashtable::carry_writes) / backward shift).
-//!
-//! The shard map ([`shard_of`]) is fixed, so the **global** memory
-//! representation — per shard, the capacity word followed by the live
-//! arena prefix — is a pure function of the abstract key set: canonical
-//! layouts per shard, concatenated in shard order. That is what
+//! The shard map is fixed, so the **global** memory representation — per
+//! shard, the capacity word followed by the live arena prefix — is a pure
+//! function of the abstract key set: canonical layouts per shard,
+//! concatenated in shard order. That is what
 //! [`ShardedHiHashTable::memory`] exposes and
 //! [`ShardedHiHashTable::canonical_memory`] predicts.
 //!
@@ -41,321 +19,18 @@
 //! shard are Blocking, and the shard *count* is fixed at construction —
 //! only capacity scales online, not the shard map itself.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use hi_hashtable::AtomicHiHashTable;
 
-use hi_hashtable::{canonical_layout, carry_writes, displacement, incumbent_wins, slot_of};
+use crate::shard_of;
 
-use crate::resize::rewrite_plan;
-use crate::{cap_for, shard_of};
-
-const ORD: Ordering = Ordering::SeqCst;
-
-/// One shard: a seqlock-protected Robin Hood arena with a logical
-/// capacity that tracks [`cap_for`] of its key count. Keys are routed to
-/// shards by [`ShardedHiHashTable`]; the shard itself accepts any nonzero
-/// key that fits its arena.
-#[derive(Debug)]
-pub struct ResizableHiShard {
-    /// The smallest capacity this shard ever uses.
-    base: usize,
-    /// The physical slot array; only `0..cap` is live, the tail is zero.
-    arena: Box<[AtomicU32]>,
-    /// Logical capacity: always `cap_for(len, base)`. Changed only inside
-    /// the seqlock critical section.
-    cap: AtomicUsize,
-    /// Seqlock over updates: odd while an update is rewriting slots.
-    seq: AtomicU64,
-    /// Number of stored keys; only updated under the seqlock.
-    len: AtomicUsize,
-    /// Completed capacity migrations (grows and shrinks).
-    resizes: AtomicU64,
-    /// Total nanoseconds update operations spent inside migrations.
-    resize_nanos: AtomicU64,
-}
-
-impl ResizableHiShard {
-    /// Creates an empty shard that can hold up to `max_keys` keys: the
-    /// physical arena is provisioned at `cap_for(max_keys, base)` once, so
-    /// a migration never allocates (and never fails).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base == 0`.
-    pub fn new(base: usize, max_keys: usize) -> Self {
-        let arena_len = cap_for(max_keys, base);
-        ResizableHiShard {
-            base,
-            arena: (0..arena_len).map(|_| AtomicU32::new(0)).collect(),
-            cap: AtomicUsize::new(cap_for(0, base)),
-            seq: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            resizes: AtomicU64::new(0),
-            resize_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Current logical capacity. Exact at state-quiescent points.
-    pub fn capacity(&self) -> usize {
-        self.cap.load(ORD)
-    }
-
-    /// The smallest capacity this shard ever uses ([`cap_for`]'s floor).
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Physical arena length (the capacity ceiling).
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Number of keys stored. Exact at state-quiescent points.
-    pub fn len(&self) -> usize {
-        self.len.load(ORD)
-    }
-
-    /// Whether the shard is empty. Exact at state-quiescent points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Completed capacity migrations so far.
-    pub fn resizes(&self) -> u64 {
-        self.resizes.load(ORD)
-    }
-
-    /// Total nanoseconds updates have spent migrating this shard.
-    pub fn resize_nanos(&self) -> u64 {
-        self.resize_nanos.load(ORD)
-    }
-
-    /// Whether no update is in flight (the seqlock word is even).
-    pub fn is_quiescent(&self) -> bool {
-        self.seq.load(ORD) % 2 == 0
-    }
-
-    /// The shard's memory representation: the capacity word followed by
-    /// the live arena prefix. A consistent snapshot only at
-    /// state-quiescent points, where it equals
-    /// `[cap_for(len, base)] ++ canonical_layout(cap, keys)`.
-    pub fn view(&self) -> Vec<u64> {
-        let cap = self.cap.load(ORD);
-        let mut view = Vec::with_capacity(cap + 1);
-        view.push(cap as u64);
-        view.extend(self.arena[..cap].iter().map(|s| u64::from(s.load(ORD))));
-        view
-    }
-
-    /// The canonical [`view`](Self::view) of a key set this shard would
-    /// hold: what an audit compares against.
-    pub fn canonical_view(&self, keys: impl IntoIterator<Item = u32>) -> Vec<u64> {
-        let keys: Vec<u32> = keys.into_iter().collect();
-        let cap = cap_for(keys.len(), self.base);
-        let mut view = Vec::with_capacity(cap + 1);
-        view.push(cap as u64);
-        view.extend(canonical_layout(cap, keys).into_iter().map(u64::from));
-        view
-    }
-
-    /// Acquires the update seqlock; returns the odd value now in `seq`.
-    fn acquire(&self) -> u64 {
-        loop {
-            let s = self.seq.load(ORD);
-            if s % 2 == 0 && self.seq.compare_exchange(s, s + 1, ORD, ORD).is_ok() {
-                return s + 1;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Releases the update seqlock acquired at odd value `s`.
-    fn release(&self, s: u64) {
-        self.seq.store(s + 1, ORD);
-    }
-
-    /// Walks `key`'s probe sequence in the live prefix under the held
-    /// lock. `Ok(i)`: `key` sits at slot `i`; `Err(i)`: first slot where
-    /// it would be stored.
-    fn probe_locked(&self, key: u32, cap: usize) -> Result<usize, usize> {
-        let mut i = slot_of(key, cap);
-        for _ in 0..cap {
-            let occ = self.arena[i].load(ORD);
-            if occ == key {
-                return Ok(i);
-            }
-            if occ == 0 || !incumbent_wins(occ, key, i, cap) {
-                return Err(i);
-            }
-            i = (i + 1) % cap;
-        }
-        panic!("probe of {key} found no terminator: shard over-full?");
-    }
-
-    /// Migrates the live image from `cap` to `new_cap` in place (both
-    /// directions), leaving the arena holding the canonical layout of
-    /// `keys` at `new_cap` and publishing the new capacity. Runs under
-    /// the held seqlock; every individual write keeps surviving keys
-    /// present ([`rewrite_plan`]'s contract).
-    fn migrate(&self, cap: usize, new_cap: usize, keys: impl IntoIterator<Item = u32>) {
-        let started = Instant::now();
-        let span = cap.max(new_cap);
-        let current: Vec<u32> = self.arena[..span].iter().map(|s| s.load(ORD)).collect();
-        let mut target = canonical_layout(new_cap, keys);
-        target.resize(span, 0);
-        for (slot, val) in rewrite_plan(&current, &target) {
-            self.arena[slot].store(val, ORD);
-        }
-        self.cap.store(new_cap, ORD);
-        self.resizes.fetch_add(1, ORD);
-        self.resize_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, ORD);
-    }
-
-    /// Adds `key`. Returns `true` if newly added. Grows the shard first
-    /// when the insert crosses the load boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == 0` or the shard's provisioned arena cannot hold
-    /// another key (a routing bug: more keys than the domain slice).
-    pub fn insert(&self, key: u32) -> bool {
-        assert!(key != 0, "key 0 is reserved");
-        let s = self.acquire();
-        let cap = self.cap.load(ORD);
-        let a = match self.probe_locked(key, cap) {
-            Ok(_) => {
-                self.release(s);
-                return false;
-            }
-            Err(a) => a,
-        };
-        let new_len = self.len.load(ORD) + 1;
-        let new_cap = cap_for(new_len, self.base);
-        assert!(
-            new_cap <= self.arena.len(),
-            "insert of {key} overflows the provisioned arena \
-             ({new_len} keys in a {}-slot shard): key routed to the wrong shard?",
-            self.arena.len()
-        );
-        if new_cap == cap {
-            // Off-boundary fast path: the single-table Robin Hood carry.
-            let mut run = Vec::new();
-            let mut z = a;
-            loop {
-                let occ = self.arena[z].load(ORD);
-                if occ == 0 {
-                    break;
-                }
-                run.push(occ);
-                z = (z + 1) % cap;
-            }
-            for (slot, val) in carry_writes(key, a, &run, cap) {
-                self.arena[slot].store(val, ORD);
-            }
-        } else {
-            let keys = self.live_keys(cap).into_iter().chain([key]);
-            self.migrate(cap, new_cap, keys);
-        }
-        self.len.store(new_len, ORD);
-        self.release(s);
-        true
-    }
-
-    /// Removes `key`. Returns `true` if it was present. Shrinks the shard
-    /// when the removal crosses the load boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == 0`.
-    pub fn remove(&self, key: u32) -> bool {
-        assert!(key != 0, "key 0 is reserved");
-        let s = self.acquire();
-        let cap = self.cap.load(ORD);
-        let p = match self.probe_locked(key, cap) {
-            Ok(p) => p,
-            Err(_) => {
-                self.release(s);
-                return false;
-            }
-        };
-        let new_len = self.len.load(ORD) - 1;
-        let new_cap = cap_for(new_len, self.base);
-        if new_cap == cap {
-            // Off-boundary fast path: backward shift, near-end first.
-            let mut hole = p;
-            loop {
-                let next = (hole + 1) % cap;
-                let occ = self.arena[next].load(ORD);
-                if occ == 0 || displacement(occ, next, cap) == 0 {
-                    break;
-                }
-                self.arena[hole].store(occ, ORD);
-                hole = next;
-            }
-            self.arena[hole].store(0, ORD);
-        } else {
-            let keys = self.live_keys(cap).into_iter().filter(|&k| k != key);
-            self.migrate(cap, new_cap, keys);
-        }
-        self.len.store(new_len, ORD);
-        self.release(s);
-        true
-    }
-
-    /// Membership test: lock-free, never blocks updates, valid across
-    /// migrations (sightings are instantaneous truths; absent verdicts
-    /// revalidate `seq`, which also pins `cap`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == 0`.
-    pub fn contains(&self, key: u32) -> bool {
-        assert!(key != 0, "key 0 is reserved");
-        'retry: loop {
-            let s1 = self.seq.load(ORD);
-            // cap changes only inside the critical section, so an even,
-            // unchanged seq at the verdict also certifies this read.
-            let cap = self.cap.load(ORD);
-            let mut i = slot_of(key, cap);
-            for _ in 0..cap {
-                let occ = self.arena[i].load(ORD);
-                if occ == key {
-                    return true;
-                }
-                if occ == 0 || !incumbent_wins(occ, key, i, cap) {
-                    if s1 % 2 == 0 && self.seq.load(ORD) == s1 {
-                        return false;
-                    }
-                    std::hint::spin_loop();
-                    continue 'retry;
-                }
-                i = (i + 1) % cap;
-            }
-            // Full turn without a terminator: a migration rewrote under
-            // us. Retry with a fresh seq/cap pair.
-            std::hint::spin_loop();
-        }
-    }
-
-    /// The keys in the live prefix. Only called under the held seqlock.
-    fn live_keys(&self, cap: usize) -> Vec<u32> {
-        self.arena[..cap]
-            .iter()
-            .map(|s| s.load(ORD))
-            .filter(|&k| k != 0)
-            .collect()
-    }
-}
-
-/// The sharded HI hash set over `{1..=t}`: keys route to [`ResizableHiShard`]s
-/// through the fixed [`shard_of`] map. All operations take `&self` and may
-/// run from any number of threads in any mix; updates to different shards
-/// do not contend.
+/// The sharded HI hash set over `{1..=t}`: keys route to resizable
+/// [`AtomicHiHashTable`] arenas through the fixed [`shard_of`] map. All
+/// operations take `&self` and may run from any number of threads in any
+/// mix; updates to different shards do not contend.
 #[derive(Debug)]
 pub struct ShardedHiHashTable {
     t: u32,
-    shards: Vec<ResizableHiShard>,
+    shards: Vec<AtomicHiHashTable>,
 }
 
 impl ShardedHiHashTable {
@@ -378,14 +53,9 @@ impl ShardedHiHashTable {
             t,
             shards: counts
                 .into_iter()
-                .map(|max_keys| ResizableHiShard::new(base, max_keys))
+                .map(|max_keys| AtomicHiHashTable::resizable(base, max_keys))
                 .collect(),
         }
-    }
-
-    /// The domain bound `t`.
-    pub fn t(&self) -> u32 {
-        self.t
     }
 
     /// The number of shards.
@@ -394,7 +64,7 @@ impl ShardedHiHashTable {
     }
 
     /// Direct access to shard `i` (for per-shard audits).
-    pub fn shard(&self, i: usize) -> &ResizableHiShard {
+    pub fn shard(&self, i: usize) -> &AtomicHiHashTable {
         &self.shards[i]
     }
 
@@ -403,7 +73,7 @@ impl ShardedHiHashTable {
         shard_of(key, self.shards.len())
     }
 
-    fn route(&self, key: u32) -> &ResizableHiShard {
+    fn route(&self, key: u32) -> &AtomicHiHashTable {
         assert!((1..=self.t).contains(&key), "element {key} out of domain");
         &self.shards[shard_of(key, self.shards.len())]
     }
@@ -444,33 +114,20 @@ impl ShardedHiHashTable {
         self.shards.iter().map(|s| s.resize_nanos()).sum()
     }
 
-    /// Whether no update is in flight in any shard.
-    pub fn is_quiescent(&self) -> bool {
-        self.shards.iter().all(|s| s.is_quiescent())
-    }
-
     /// The keys currently stored, sorted (the abstract state). Only
     /// meaningful at state-quiescent points.
     pub fn keys(&self) -> Vec<u32> {
-        let mut keys: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.view().into_iter().skip(1))
-            .filter(|&k| k != 0)
-            .map(|k| k as u32)
-            .collect();
+        let mut keys: Vec<u32> = self.shards.iter().flat_map(|s| s.keys()).collect();
         keys.sort_unstable();
         keys
     }
 
-    /// The global memory representation: each shard's [`view`]
-    /// (capacity word + live arena prefix), concatenated in shard order.
-    /// At state-quiescent points this equals
-    /// [`canonical_memory`](Self::canonical_memory) of the abstract key
-    /// set — the shard map and every per-shard layout are pure functions
-    /// of the key set.
-    ///
-    /// [`view`]: ResizableHiShard::view
+    /// The global memory representation: each shard's
+    /// [`view`](AtomicHiHashTable::view) (capacity word + live arena
+    /// prefix), concatenated in shard order. At state-quiescent points this
+    /// equals [`canonical_memory`](Self::canonical_memory) of the abstract
+    /// key set — the shard map and every per-shard layout are pure
+    /// functions of the key set.
     pub fn memory(&self) -> Vec<u64> {
         self.shards.iter().flat_map(|s| s.view()).collect()
     }
@@ -563,101 +220,6 @@ mod tests {
             );
         }
         assert_eq!(table.memory(), table.canonical_memory([]));
-    }
-
-    #[test]
-    fn mixed_concurrent_workload_converges_to_canonical() {
-        for seed in 0..8u64 {
-            let table = ShardedHiHashTable::new(96, 4, 2);
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(seed * 17 + t);
-                        for _ in 0..600 {
-                            let k = rng.gen_range(1u32..=96);
-                            match rng.gen_range(0u8..3) {
-                                0 => {
-                                    table.insert(k);
-                                }
-                                1 => {
-                                    table.remove(k);
-                                }
-                                _ => {
-                                    table.contains(k);
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            assert!(table.is_quiescent());
-            assert_eq!(
-                table.memory(),
-                table.canonical_memory(table.keys()),
-                "seed {seed}: quiescent memory is not canonical for its own key set"
-            );
-        }
-    }
-
-    #[test]
-    fn lookups_never_miss_a_stable_key_across_migrations() {
-        // Key 1 stays put while its own shard is forced through grow and
-        // shrink migrations by churning keys routed to the same shard.
-        let table = ShardedHiHashTable::new(512, 2, 2);
-        assert!(table.insert(1));
-        let home = table.shard_index(1);
-        let churn: Vec<u32> = (2..=512u32)
-            .filter(|&k| table.shard_index(k) == home)
-            .collect();
-        assert!(churn.len() > 32, "need churn keys in key 1's shard");
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let table = &table;
-            let stop = &stop;
-            let churn = &churn;
-            s.spawn(move || {
-                while !stop.load(ORD) {
-                    // Fill and drain in waves so capacity keeps crossing
-                    // boundaries in both directions.
-                    for &k in churn.iter().take(48) {
-                        table.insert(k);
-                    }
-                    for &k in churn.iter().take(48) {
-                        table.remove(k);
-                    }
-                }
-            });
-            s.spawn(move || {
-                for _ in 0..20_000 {
-                    assert!(table.contains(1), "a present key was missed");
-                }
-                stop.store(true, ORD);
-            });
-        });
-        assert!(table.resizes() > 0, "the churn never migrated");
-    }
-
-    #[test]
-    fn racing_duplicate_inserts_place_exactly_one_copy() {
-        for _ in 0..50 {
-            let table = ShardedHiHashTable::new(32, 2, 2);
-            let successes = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let table = &table;
-                    let successes = &successes;
-                    s.spawn(move || {
-                        if table.insert(7) {
-                            successes.fetch_add(1, ORD);
-                        }
-                    });
-                }
-            });
-            assert_eq!(successes.load(ORD), 1, "exactly one insert wins");
-            let copies = table.memory().into_iter().filter(|&v| v == 7).count();
-            assert_eq!(copies, 1, "exactly one copy in memory");
-        }
     }
 
     #[test]

@@ -107,11 +107,6 @@ const ORDERING_ALLOWLIST: &[(&str, usize, &str)] = &[
         "GAUGE_ORD = Relaxed: queue-depth gauges and abort latches only, never a publication channel",
     ),
     (
-        "crates/shard/src/threaded.rs",
-        1,
-        "ORD = SeqCst: per-backend constant, matches the simulator's sequential consistency",
-    ),
-    (
         "crates/universal/src/threaded.rs",
         2,
         "SeqCst swap/store on the announce slots (Algorithm 5's helping handshake)",
