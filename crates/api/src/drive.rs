@@ -251,7 +251,7 @@ impl<S: ObjectSpec> fmt::Display for DriveError<S> {
 impl<S: ObjectSpec> Error for DriveError<S> {}
 
 /// Renders a panic payload the way the default hook would.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -454,9 +454,7 @@ struct Preflight {
 /// - The deadline expires (a wedged backend, e.g. a blocking algorithm
 ///   whose lock holder a test deliberately stalled): [`DriveError::Wedged`]
 ///   carrying each stalled handle's progress and the drive-start memory.
-///   The wedged thread is *abandoned*, not killed — its handles may spin
-///   until process exit — so CI gets a structured diagnostic instead of a
-///   hang, at the cost of a leaked thread in the failing process.
+///   The wedged thread is abandoned, not killed (see [`watchdogged`]).
 ///
 /// Takes a constructor rather than a `&mut` borrow because the object must
 /// move into (and possibly die with) the driver thread.
@@ -471,45 +469,28 @@ where
     S::State: Send,
     O: ConcurrentObject<S>,
 {
-    let (pre_tx, pre_rx) = mpsc::channel::<Preflight>();
-    let (done_tx, done_rx) = mpsc::channel::<Result<DriveReport<S>, DriveError<S>>>();
     let cfg = *cfg;
-    std::thread::Builder::new()
-        .name("hi-drive-watchdogged".into())
-        .spawn(move || {
-            let verdict = catch_unwind(AssertUnwindSafe(|| {
-                let mut obj = make();
-                let menus = menus_for(&obj.spec().clone(), obj.roles());
-                let planned: Vec<usize> = menus
-                    .iter()
-                    .map(|m| if m.is_empty() { 0 } else { cfg.ops_per_handle })
-                    .collect();
-                let progress = Arc::new(ProgressCounters::new(planned));
-                let _ = pre_tx.send(Preflight {
-                    mem0: obj.mem_snapshot(),
-                    progress: Arc::clone(&progress),
-                });
-                drive_core(&mut obj, &cfg, Some(&progress))
-            }));
-            let _ = done_tx.send(verdict.unwrap_or_else(|payload| {
-                Err(DriveError::Panicked {
-                    handle: None,
-                    message: panic_message(payload),
-                })
-            }));
-        })
-        .expect("spawn watchdogged driver thread");
-
-    let start = Instant::now();
-    let pre = pre_rx.recv_timeout(cfg.deadline).ok();
-    let remaining = cfg.deadline.saturating_sub(start.elapsed());
-    match done_rx.recv_timeout(remaining) {
-        Ok(verdict) => verdict,
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(DriveError::Panicked {
+    let watched = watchdogged("hi-drive-watchdogged", cfg.deadline, move |pre| {
+        let mut obj = make();
+        let menus = menus_for(&obj.spec().clone(), obj.roles());
+        let planned: Vec<usize> = menus
+            .iter()
+            .map(|m| if m.is_empty() { 0 } else { cfg.ops_per_handle })
+            .collect();
+        let progress = Arc::new(ProgressCounters::new(planned));
+        let _ = pre.send(Preflight {
+            mem0: obj.mem_snapshot(),
+            progress: Arc::clone(&progress),
+        });
+        drive_core(&mut obj, &cfg, Some(&progress))
+    });
+    match watched {
+        Watched::Done(verdict) => verdict,
+        Watched::Panicked(message) => Err(DriveError::Panicked {
             handle: None,
-            message: "driver thread died without reporting".into(),
+            message: message.unwrap_or_else(|| "driver thread died without reporting".into()),
         }),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
+        Watched::Wedged(pre) => {
             let (stalled, mem) = match pre {
                 Some(p) => (p.progress.snapshot().stalled(), p.mem0),
                 None => (Vec::new(), Vec::new()),
@@ -520,6 +501,58 @@ where
                 mem,
             })
         }
+    }
+}
+
+/// How a [`watchdogged`] body ended, as seen by the waiting caller.
+pub enum Watched<T, P> {
+    /// The body returned within the deadline.
+    Done(T),
+    /// The body panicked (its payload, rendered by [`panic_message`]), or
+    /// its thread died without reporting (`None`).
+    Panicked(Option<String>),
+    /// The deadline expired. Carries the preflight the body sent, if it got
+    /// that far; the body's thread is abandoned.
+    Wedged(Option<P>),
+}
+
+/// The watchdog behind [`drive_watchdogged`] and the service's
+/// `soak_watchdogged`: runs `body` in a detached thread named `name` and
+/// waits at most `deadline` for its result.
+///
+/// `body` may send one *preflight* value on the sender it is given: what
+/// the caller needs to diagnose a wedge from outside (typically live
+/// progress counters). A wedged thread is abandoned, not killed — it may
+/// spin until process exit — so the caller gets a structured verdict
+/// instead of a hang, at the cost of a leaked thread in the failing
+/// process.
+pub fn watchdogged<T, P>(
+    name: &str,
+    deadline: Duration,
+    body: impl FnOnce(mpsc::Sender<P>) -> T + Send + 'static,
+) -> Watched<T, P>
+where
+    T: Send + 'static,
+    P: Send + 'static,
+{
+    let (pre_tx, pre_rx) = mpsc::channel::<P>();
+    let (done_tx, done_rx) = mpsc::channel::<Result<T, String>>();
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let verdict = catch_unwind(AssertUnwindSafe(|| body(pre_tx)));
+            let _ = done_tx.send(verdict.map_err(panic_message));
+        })
+        .expect("spawn watchdogged thread");
+
+    let start = Instant::now();
+    let pre = pre_rx.recv_timeout(deadline).ok();
+    let remaining = deadline.saturating_sub(start.elapsed());
+    match done_rx.recv_timeout(remaining) {
+        Ok(Ok(verdict)) => Watched::Done(verdict),
+        Ok(Err(message)) => Watched::Panicked(Some(message)),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Watched::Panicked(None),
+        Err(mpsc::RecvTimeoutError::Timeout) => Watched::Wedged(pre),
     }
 }
 

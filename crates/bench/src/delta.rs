@@ -546,8 +546,8 @@ impl DeltaReport {
             .any(|s| s.metrics.iter().any(|m| m.regressed))
     }
 
-    /// The regressions that gate a strict run: [`regressions`]
-    /// (DeltaReport::regressions) minus the warn-only scenarios.
+    /// The regressions that gate a strict run:
+    /// [`regressions`](Self::regressions) minus the warn-only scenarios.
     pub fn gating_regressions(&self) -> Vec<(&str, &MetricDelta)> {
         self.scenarios
             .iter()

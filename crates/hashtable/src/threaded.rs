@@ -1,7 +1,7 @@
 //! The phase-free concurrent HI hash table: `insert`, `remove` and
 //! `contains` may be invoked concurrently, in any mix, from any number of
 //! threads — the restriction the paper points out in the phase-concurrent
-//! tables of [42] is gone from the API, following the direction of the
+//! tables of \[42\] is gone from the API, following the direction of the
 //! authors' follow-up *History-Independent Concurrent Hash Tables*
 //! (arXiv:2503.21016).
 //!

@@ -7,8 +7,8 @@ use hi_core::Pid;
 use crate::exec::{Executor, RunError};
 use crate::mem::{CellDomain, CellId, SharedMem};
 use crate::process::{Implementation, MemCtx, ProcessHandle};
-use crate::runner::{run_workload, Workload};
-use crate::sched::{RoundRobin, Scripted, Seeded};
+use crate::runner::{run_workload, run_workload_with_faults, Workload};
+use crate::sched::{FaultPlan, Faulty, RoundRobin, Scripted, Seeded};
 
 /// A register where writes take two primitives (stage cell, then value
 /// cell) — enough structure to exercise quiescence tracking and forking.
@@ -211,6 +211,27 @@ fn observer_sees_every_transition() {
     run_workload(&mut exec, w, &mut Seeded::new(9), &mut observer, 1_000).unwrap();
     // 2 invocations + 2 write steps + 1 read step.
     assert_eq!(transitions, 5);
+}
+
+#[test]
+fn faulty_run_with_empty_plan_matches_run_workload() {
+    let imp = TwoStepRegister::new(4, 1);
+    let workload = || {
+        let mut w: Workload<MultiRegisterSpec> = Workload::new(2);
+        for v in [3, 2, 4] {
+            w.push(0, RegisterOp::Write(v));
+            w.push(1, RegisterOp::Read);
+        }
+        w
+    };
+    let mut base = Executor::new(imp.clone());
+    run_workload(&mut base, workload(), &mut Seeded::new(42), &mut (), 1_000).unwrap();
+    let mut faulty = Executor::new(imp);
+    let mut sched = Faulty::new(Seeded::new(42), FaultPlan::none(), 2);
+    run_workload_with_faults(&mut faulty, workload(), &mut sched, |_, _| {}, 1_000).unwrap();
+    assert_eq!(faulty.history().events(), base.history().events());
+    assert_eq!(faulty.steps(), base.steps());
+    assert_eq!(faulty.snapshot(), base.snapshot());
 }
 
 #[test]

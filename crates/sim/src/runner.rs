@@ -122,7 +122,7 @@ impl<S: ObjectSpec, I: Implementation<S>> StepObserver<S, I> for () {
 /// hang.
 pub fn run_workload<S, I, Sch, Obs>(
     exec: &mut Executor<S, I>,
-    mut workload: Workload<S>,
+    workload: Workload<S>,
     sched: &mut Sch,
     observer: &mut Obs,
     max_steps: u64,
@@ -133,38 +133,14 @@ where
     Sch: Scheduler,
     Obs: StepObserver<S, I>,
 {
-    assert_eq!(
-        workload.num_processes(),
-        exec.num_processes(),
-        "workload/process count mismatch"
-    );
-    let mut transitions = 0u64;
-    loop {
-        let enabled: Vec<Pid> = (0..exec.num_processes())
-            .map(Pid)
-            .filter(|&p| exec.can_step(p) || workload.has_next(p))
-            .collect();
-        if enabled.is_empty() {
-            return Ok(());
-        }
-        if transitions >= max_steps {
-            return Err(RunError::StepLimit {
-                pid: enabled[0],
-                steps: max_steps,
-            });
-        }
-        transitions += 1;
-        let pid = sched.next_pid(&enabled);
-        if exec.can_step(pid) {
-            exec.step(pid);
-        } else {
-            let op = workload
-                .pop(pid)
-                .expect("scheduler chose a process with no work");
-            exec.invoke(pid, op);
-        }
-        observer.observe(exec);
-    }
+    schedule(
+        exec,
+        workload,
+        sched,
+        |_, _| false,
+        |e, _| observer.observe(e),
+        max_steps,
+    )
 }
 
 /// Drives `exec` like [`run_workload`], injecting the faults of `faulty`'s
@@ -193,9 +169,9 @@ where
 /// for the declared progress class.
 pub fn run_workload_with_faults<S, I, Sch, F>(
     exec: &mut Executor<S, I>,
-    mut workload: Workload<S>,
+    workload: Workload<S>,
     faulty: &mut Faulty<Sch>,
-    mut observer: F,
+    observer: F,
     max_steps: u64,
 ) -> Result<(), RunError>
 where
@@ -203,6 +179,25 @@ where
     I: Implementation<S>,
     Sch: Scheduler,
     F: FnMut(&Executor<S, I>, &Faulty<Sch>),
+{
+    schedule(exec, workload, faulty, Faulty::crashed, observer, max_steps)
+}
+
+/// The one scheduling loop behind [`run_workload`] and
+/// [`run_workload_with_faults`]: each turn, the processes not `crashed` that
+/// can step or invoke are enabled, and `sched` picks one for one transition.
+fn schedule<S, I, Sch>(
+    exec: &mut Executor<S, I>,
+    mut workload: Workload<S>,
+    sched: &mut Sch,
+    crashed: impl Fn(&Sch, Pid) -> bool,
+    mut observe: impl FnMut(&Executor<S, I>, &Sch),
+    max_steps: u64,
+) -> Result<(), RunError>
+where
+    S: ObjectSpec,
+    I: Implementation<S>,
+    Sch: Scheduler,
 {
     assert_eq!(
         workload.num_processes(),
@@ -213,7 +208,7 @@ where
     loop {
         let enabled: Vec<Pid> = (0..exec.num_processes())
             .map(Pid)
-            .filter(|&p| !faulty.crashed(p) && (exec.can_step(p) || workload.has_next(p)))
+            .filter(|&p| !crashed(sched, p) && (exec.can_step(p) || workload.has_next(p)))
             .collect();
         if enabled.is_empty() {
             return Ok(());
@@ -225,7 +220,7 @@ where
             });
         }
         transitions += 1;
-        let pid = faulty.next_pid(&enabled);
+        let pid = sched.next_pid(&enabled);
         if exec.can_step(pid) {
             exec.step(pid);
         } else {
@@ -234,6 +229,6 @@ where
                 .expect("scheduler chose a process with no work");
             exec.invoke(pid, op);
         }
-        observer(exec, faulty);
+        observe(exec, sched);
     }
 }

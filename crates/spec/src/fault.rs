@@ -16,7 +16,7 @@
 //! 3. every plan is run by [`run_fault_plan`], which (a) verifies survivors
 //!    complete within a step budget unless the declared
 //!    [`Progress`](hi_core::Progress) class tolerates wedging on that plan, (b) re-runs the
-//!    object's [`SimAudit`] at the observation points its model permits —
+//!    object's [`SimAudit`](crate::SimAudit) at the observation points its model permits —
 //!    including the post-crash ones, the adversary's snapshot — and
 //!    (c) linearizes the truncated history; for [`Progress::Helping`](hi_core::Progress::Helping)
 //!    objects the final memory is decoded and the history must linearize
@@ -31,11 +31,10 @@
 //! multi-slot rewrite).
 
 use hi_core::{EnumerableSpec, Pid, SplitMix64};
-use hi_sim::{run_workload_with_faults, Executor, FaultPlan, Faulty, Implementation, Seeded};
+use hi_sim::{run_workload_with_faults, Executor, FaultPlan, Faulty, Seeded};
 
-use crate::hi::HiMonitor;
 use crate::lin::{linearize, linearize_to, LinOptions};
-use crate::sim_object::{model_for, sim_workload, SimAudit, SimObject};
+use crate::sim_object::{auditor_for, model_for, sim_workload, SimObject};
 
 /// Knobs of the fault sweep. Construct with [`FaultSweepConfig::new`] and
 /// override fields as needed.
@@ -129,8 +128,8 @@ pub struct PlanOutcome {
 
 /// Runs `obj` under its role-mirrored seeded workload with the faults of
 /// `plan` injected, enforcing the object's declared [`Progress`](hi_core::Progress) class and
-/// auditing its [`SimAudit`] at every permitted observation point —
-/// including the post-crash ones.
+/// auditing its [`SimAudit`](crate::SimAudit) at every permitted observation
+/// point — including the post-crash ones.
 ///
 /// Enforcement per class, when the run exceeds `budget` transitions:
 ///
@@ -165,92 +164,34 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
+    let mut auditor = auditor_for(obj);
     let roles = obj.roles();
     let n = roles.num_handles();
-    assert_eq!(
-        n,
-        imp.num_processes(),
-        "role discipline {roles:?} disagrees with the step machine's process count"
-    );
-    let audit = obj.hi_audit();
-    assert_eq!(
-        audit.model(),
-        model_for(obj.hi_level()),
-        "audit {audit:?} does not match the declared HI level {:?}",
-        obj.hi_level()
-    );
     let progress = obj.progress();
     let workload = sim_workload(obj.spec(), roles, cfg.ops_per_pid, cfg.seed);
 
-    let mut exec = Executor::new(imp.clone());
+    let mut exec = Executor::new(obj.implementation().clone());
     let mut faulty = Faulty::new(Seeded::new(cfg.seed), plan.clone(), n);
-    let mut hi_points = 0u64;
     let mut post_crash_hi_points = 0u64;
+    let run = run_workload_with_faults(
+        &mut exec,
+        workload,
+        &mut faulty,
+        |e, f| {
+            if auditor.observe(e) && f.any_crash_active() {
+                post_crash_hi_points += 1;
+            }
+        },
+        budget,
+    );
+    let hi_points = auditor
+        .verdict()
+        .map_err(|v| format!("plan {plan:?}: {v}"))?;
     // The final memory decoded into an abstract state, when the audit can.
-    let mut decoded_final: Option<S::State> = None;
-
-    let run = match audit {
-        SimAudit::LinOnly => {
-            run_workload_with_faults(&mut exec, workload, &mut faulty, |_e, _f| {}, budget)
-        }
-        SimAudit::Monitor { model, mut oracle } => {
-            let mut monitor = HiMonitor::new(model);
-            let run = run_workload_with_faults(
-                &mut exec,
-                workload,
-                &mut faulty,
-                |e, f| {
-                    if model.permits(e) {
-                        hi_points += 1;
-                        if f.any_crash_active() {
-                            post_crash_hi_points += 1;
-                        }
-                        let state = oracle(e);
-                        monitor.record(state, e.snapshot());
-                    }
-                },
-                budget,
-            );
-            monitor
-                .into_result()
-                .map_err(|v| format!("plan {plan:?}: {v}"))?;
-            if run.is_ok() {
-                decoded_final = Some(oracle(&exec));
-            }
-            run
-        }
-        SimAudit::DirectCanonical { model, mut oracle } => {
-            let mut violation: Option<String> = None;
-            let run = run_workload_with_faults(
-                &mut exec,
-                workload,
-                &mut faulty,
-                |e, f| {
-                    if model.permits(e) {
-                        hi_points += 1;
-                        if f.any_crash_active() {
-                            post_crash_hi_points += 1;
-                        }
-                        if violation.is_none() {
-                            let view = oracle(&e.snapshot());
-                            if view.observed != view.canonical {
-                                violation = Some(format!(
-                                    "at a permitted ({:?}) point, memory {:?} is not the \
-                                     canonical representation {:?} of state {}",
-                                    model, view.observed, view.canonical, view.state
-                                ));
-                            }
-                        }
-                    }
-                },
-                budget,
-            );
-            if let Some(v) = violation {
-                return Err(format!("plan {plan:?}: {v}"));
-            }
-            run
-        }
+    let decoded_final = if run.is_ok() {
+        auditor.decode(&exec)
+    } else {
+        None
     };
 
     let completed = match run {
@@ -419,6 +360,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimAudit;
     use hi_core::Progress;
     use hi_core::{HiLevel, ObjectSpec, Roles};
     use hi_sim::{CellDomain, CellId, Implementation, MemCtx, ProcessHandle, SharedMem};

@@ -13,7 +13,7 @@
 //!   They snapshot `mem(C)` at the configurations their observation model
 //!   permits and feed a [`CanonicalMap`](hi_core::CanonicalMap); any state
 //!   observed with two distinct representations is a violation.
-//! * **Exhaustive exploration** ([`explore`]): a schedule-space model
+//! * **Exhaustive exploration** ([`explore`](mod@explore)): a schedule-space model
 //!   checker over *all* schedules of a small workload, with sleep-set
 //!   partial-order reduction and configuration deduplication
 //!   ([`explore::explore_with`]) that preserve exactly the properties the
@@ -34,6 +34,13 @@
 //! points and enforces each object's declared [`Progress`](hi_core::Progress)
 //! class, audits the post-crash memory, and checks helped operations apply
 //! exactly once.
+//!
+//! All three sim checkers — [`check_sim_object`],
+//! [`check_sim_object_faults`] and [`check_sim_object_exhaustive`] — audit
+//! through one crate-private auditor, `SimAuditor`, the single interpreter
+//! of a [`SimAudit`]: it applies the audit's observation model once per
+//! configuration, counts the permitted points and renders the first
+//! violation.
 //!
 //! [`History`]: hi_core::History
 //! [`ObjectSpec`]: hi_core::ObjectSpec
@@ -57,6 +64,6 @@ pub use hi::{single_mutator_state, HiMonitor, ObservationModel};
 pub use lin::{linearize, linearize_to, LinError, LinOptions, Linearization};
 pub use model_check::{check_sim_object_exhaustive, ExhaustiveConfig, ExhaustiveReport};
 pub use sim_object::{
-    check_sim_object, model_for, sim_workload, CanonicalOracle, CanonicalView,
-    DirectCanonicalObserver, SimAudit, SimObject, SimObjectReport, StateOracle,
+    check_sim_object, model_for, sim_workload, CanonicalOracle, CanonicalView, SimAudit, SimObject,
+    SimObjectReport, StateOracle,
 };

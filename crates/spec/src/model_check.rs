@@ -2,15 +2,16 @@
 //!
 //! [`check_sim_object`](crate::check_sim_object) drives one seeded schedule;
 //! [`check_sim_object_exhaustive`] drives **all** of them. It runs the
-//! reduced schedule-space explorer ([`crate::explore`]) over a role-mirrored
-//! workload and applies the full oracle stack along the way:
+//! reduced schedule-space explorer ([`crate::explore`](mod@crate::explore))
+//! over a role-mirrored workload and applies the full oracle stack along
+//! the way:
 //!
-//! * the object's [`SimAudit`] at *every* reachable configuration its
-//!   observation model permits — one [`HiMonitor`] (or direct-canonicity
-//!   observer) shared across all branches, which is exactly the paper's
-//!   definition: history independence quantifies over *pairs* of
-//!   executions, so observations from different schedules must agree on a
-//!   single canonical map;
+//! * the object's [`SimAudit`](crate::SimAudit) at *every* reachable
+//!   configuration its observation model permits — one auditor shared
+//!   across all branches, which is exactly the paper's definition:
+//!   history independence quantifies over *pairs* of executions, so
+//!   observations from different schedules must agree on a single
+//!   canonical map;
 //! * Wing–Gong linearization of every distinct maximal-path history;
 //! * optionally ([`ExhaustiveConfig::with_crashes`]) a single-crash variant
 //!   branched at every choice point of the fault-free prefix.
@@ -23,12 +24,11 @@
 use std::collections::HashSet;
 
 use hi_core::{EnumerableSpec, FingerprintWriter, ObjectSpec};
-use hi_sim::{Executor, Implementation, StepObserver, Workload};
+use hi_sim::{Executor, Implementation, Workload};
 
 use crate::explore::{explore_with, ExploreConfig, ExploreStats, ExploreVisitor};
-use crate::hi::HiMonitor;
 use crate::lin::{linearize, LinOptions};
-use crate::sim_object::{model_for, sim_workload, DirectCanonicalObserver, SimAudit, SimObject};
+use crate::sim_object::{auditor_for, sim_workload, SimAuditor, SimObject};
 
 /// How [`check_sim_object_exhaustive`] generates and explores its workload.
 #[derive(Clone, Copy, Debug)]
@@ -75,7 +75,8 @@ pub struct ExhaustiveReport {
     pub stats: ExploreStats,
     /// Observation points the HI audit examined (0 iff not audited).
     pub hi_points: u64,
-    /// Whether an HI audit ran (`false` only for [`SimAudit::LinOnly`]).
+    /// Whether an HI audit ran (`false` only for
+    /// [`SimAudit::LinOnly`](crate::SimAudit::LinOnly)).
     pub audited: bool,
     /// Distinct abstract states the monitor observed (0 for direct or
     /// lin-only audits, which keep no state map).
@@ -130,52 +131,20 @@ impl ExhaustiveReport {
     }
 }
 
-/// The audit half of the exploration visitor.
-enum AuditState<S: ObjectSpec, I: Implementation<S>> {
-    None,
-    Monitor {
-        monitor: HiMonitor<S::State>,
-        oracle: crate::sim_object::StateOracle<S, I>,
-    },
-    Direct(DirectCanonicalObserver),
-}
-
 /// Drives the explorer and applies the oracle stack at every callback.
 struct ExhaustiveVisitor<S: ObjectSpec, I: Implementation<S>> {
     spec: S,
-    audit: AuditState<S, I>,
+    auditor: SimAuditor<S, I>,
     /// Fingerprints of maximal-path histories already linearized.
     lin_seen: HashSet<u128>,
     linearized: u64,
-    violation: Option<String>,
-}
-
-impl<S: ObjectSpec, I: Implementation<S>> ExhaustiveVisitor<S, I> {
-    fn audit_config(&mut self, exec: &Executor<S, I>) {
-        match &mut self.audit {
-            AuditState::None => {}
-            AuditState::Monitor { monitor, oracle } => {
-                if monitor.model().permits(exec) {
-                    let state = oracle(exec);
-                    monitor.observe(exec, state);
-                    if let Some(v) = monitor.violation() {
-                        self.violation = Some(v.to_string());
-                    }
-                }
-            }
-            AuditState::Direct(observer) => {
-                observer.observe(exec);
-                if let Some(v) = observer.violation() {
-                    self.violation = Some(v.to_string());
-                }
-            }
-        }
-    }
+    /// The first maximal path that does not linearize, rendered.
+    lin_violation: Option<String>,
 }
 
 impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVisitor<S, I> {
     fn on_config(&mut self, exec: &Executor<S, I>) {
-        self.audit_config(exec);
+        self.auditor.observe(exec);
     }
 
     fn on_path_end(&mut self, exec: &Executor<S, I>) {
@@ -186,7 +155,7 @@ impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVis
         }
         self.linearized += 1;
         if let Err(e) = linearize(&self.spec, exec.history(), &LinOptions::default()) {
-            self.violation = Some(format!("maximal path is not linearizable: {e}"));
+            self.lin_violation = Some(format!("maximal path is not linearizable: {e}"));
         }
     }
 
@@ -196,7 +165,7 @@ impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVis
     }
 
     fn abort(&self) -> bool {
-        self.violation.is_some()
+        self.lin_violation.is_some() || self.auditor.violation().is_some()
     }
 }
 
@@ -209,7 +178,7 @@ impl<S: ObjectSpec, I: Implementation<S>> ExploreVisitor<S, I> for ExhaustiveVis
 /// # Panics
 ///
 /// Panics if the object's metadata is inconsistent: role count ≠ process
-/// count, or audit model ≠ [`model_for`] of the declared
+/// count, or audit model ≠ [`model_for`](crate::model_for) of the declared
 /// [`HiLevel`](hi_core::HiLevel).
 ///
 /// # Errors
@@ -228,51 +197,24 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
-    let roles = obj.roles();
-    assert_eq!(
-        roles.num_handles(),
-        imp.num_processes(),
-        "role discipline {roles:?} disagrees with the step machine's process count"
-    );
-    let audit = obj.hi_audit();
-    assert_eq!(
-        audit.model(),
-        model_for(obj.hi_level()),
-        "audit {audit:?} does not match the declared HI level {:?}",
-        obj.hi_level()
-    );
-    let workload: Workload<S> = sim_workload(obj.spec(), roles, cfg.ops_per_pid, cfg.seed);
+    let auditor = auditor_for(obj);
+    let workload: Workload<S> = sim_workload(obj.spec(), obj.roles(), cfg.ops_per_pid, cfg.seed);
     let ops = workload.remaining();
-    let exec = Executor::new(imp.clone());
+    let exec = Executor::new(obj.implementation().clone());
     let mut visitor = ExhaustiveVisitor {
         spec: obj.spec().clone(),
-        audit: match audit {
-            SimAudit::LinOnly => AuditState::None,
-            SimAudit::Monitor { model, oracle } => AuditState::Monitor {
-                monitor: HiMonitor::new(model),
-                oracle,
-            },
-            SimAudit::DirectCanonical { model, oracle } => {
-                AuditState::Direct(DirectCanonicalObserver::new(model, oracle))
-            }
-        },
+        auditor,
         lin_seen: HashSet::new(),
         linearized: 0,
-        violation: None,
+        lin_violation: None,
     };
     let stats =
         explore_with(&exec, &workload, &cfg.explore, &mut visitor).map_err(|e| e.to_string())?;
-    if let Some(v) = visitor.violation {
+    if let Some(v) = visitor.lin_violation {
         return Err(v);
     }
-    let (hi_points, audited, distinct_states) = match &visitor.audit {
-        AuditState::None => (0, false, 0),
-        AuditState::Monitor { monitor, .. } => {
-            (monitor.points(), true, monitor.canonical_map().len() as u64)
-        }
-        AuditState::Direct(observer) => (observer.points(), true, 0),
-    };
+    let auditor = &visitor.auditor;
+    let (hi_points, audited) = (auditor.verdict()?, auditor.audits());
     if audited && hi_points == 0 {
         return Err("the exhaustive HI audit examined no observation point".to_string());
     }
@@ -284,7 +226,7 @@ where
         stats,
         hi_points,
         audited,
-        distinct_states,
+        distinct_states: auditor.distinct_states(),
         linearized: visitor.linearized,
     })
 }

@@ -93,15 +93,16 @@
 use std::fmt;
 
 use hi_core::{
-    handle_seed, menus_for, random_script, EnumerableSpec, HiLevel, ObjectSpec, Progress, Roles,
+    handle_seed, menus_for, random_script, CanonicalMap, EnumerableSpec, HiLevel, ObjectSpec,
+    Progress, Roles,
 };
-use hi_sim::{run_workload, Executor, Implementation, MemSnapshot, Seeded, StepObserver, Workload};
+use hi_sim::{run_workload, Executor, Implementation, MemSnapshot, Seeded, Workload};
 
-use crate::hi::{single_mutator_state, HiMonitor, ObservationModel};
+use crate::hi::{single_mutator_state, ObservationModel};
 use crate::lin::{linearize, LinOptions};
 
-/// A state oracle: the abstract state of the current configuration, for
-/// feeding an [`HiMonitor`].
+/// A state oracle: the abstract state of the current configuration, for a
+/// [`SimAudit::Monitor`] audit.
 pub type StateOracle<S, I> = Box<dyn FnMut(&Executor<S, I>) -> <S as ObjectSpec>::State>;
 
 /// One direct-canonicity observation: the memory representation proper
@@ -130,8 +131,9 @@ pub enum SimAudit<S: ObjectSpec, I: Implementation<S>> {
     /// Linearizability only: the implementation fixes no canonical form
     /// ([`HiLevel::NotHi`]), so memory monitoring would be meaningless.
     LinOnly,
-    /// Same-state-same-memory monitoring ([`HiMonitor`]) at every point the
-    /// model permits, with the abstract state supplied by the oracle.
+    /// Same-state-same-memory monitoring (the [`HiMonitor`](crate::HiMonitor)
+    /// rule) at every point the model permits, with the abstract state
+    /// supplied by the oracle.
     Monitor {
         /// The observation model matching the object's [`HiLevel`].
         model: ObservationModel,
@@ -280,68 +282,153 @@ pub struct SimObjectReport {
     pub final_snapshot: MemSnapshot,
 }
 
-/// The reusable direct-canonicity observer (the generalization of the
-/// registry's old hash-table-only `CanonicalSlotsObserver`): at every point
-/// its model permits, compares the oracle's observed representation against
-/// the canonical representation of the decoded state, keeping the first
-/// mismatch.
-pub struct DirectCanonicalObserver {
-    model: ObservationModel,
-    oracle: CanonicalOracle,
+/// The one interpreter of a [`SimAudit`]. Every sim checker
+/// ([`check_sim_object`], [`run_fault_plan`](crate::run_fault_plan),
+/// [`check_sim_object_exhaustive`](crate::check_sim_object_exhaustive))
+/// feeds it each configuration it reaches; the auditor applies the audit's
+/// [`ObservationModel`], counts the permitted points and keeps the first
+/// violation, rendered. A [`SimAudit::Monitor`] audit keeps one canonical
+/// map across everything fed in, so observations from different executions
+/// must agree.
+pub(crate) struct SimAuditor<S: ObjectSpec, I: Implementation<S>> {
+    /// The model and the per-point check; `None` for [`SimAudit::LinOnly`].
+    audit: Option<(ObservationModel, Check<S, I>)>,
     points: u64,
     violation: Option<String>,
 }
 
-impl DirectCanonicalObserver {
-    /// Creates the observer.
-    pub fn new(model: ObservationModel, oracle: CanonicalOracle) -> Self {
-        DirectCanonicalObserver {
-            model,
-            oracle,
+/// The per-point check of an auditing [`SimAudit`].
+enum Check<S: ObjectSpec, I: Implementation<S>> {
+    /// Same state, same memory: the decoded states seen so far.
+    Monitor {
+        oracle: StateOracle<S, I>,
+        canon: CanonicalMap<S::State, MemSnapshot>,
+    },
+    /// The observed representation is the canonical one.
+    Direct(CanonicalOracle),
+}
+
+impl<S: ObjectSpec, I: Implementation<S>> SimAuditor<S, I> {
+    /// An auditor interpreting `audit`.
+    pub(crate) fn new(audit: SimAudit<S, I>) -> Self {
+        let audit = match audit {
+            SimAudit::LinOnly => None,
+            SimAudit::Monitor { model, oracle } => Some((
+                model,
+                Check::Monitor {
+                    oracle,
+                    canon: CanonicalMap::new(),
+                },
+            )),
+            SimAudit::DirectCanonical { model, oracle } => Some((model, Check::Direct(oracle))),
+        };
+        SimAuditor {
+            audit,
             points: 0,
             violation: None,
         }
     }
 
-    /// Number of permitted observation points examined.
-    pub fn points(&self) -> u64 {
-        self.points
+    /// Audits `exec`'s current configuration if the model permits it.
+    /// Returns whether it did (the point was permitted and counted); after
+    /// the first violation, permitted points are still counted but no
+    /// longer checked.
+    pub(crate) fn observe(&mut self, exec: &Executor<S, I>) -> bool {
+        let Some((model, check)) = &mut self.audit else {
+            return false;
+        };
+        if !model.permits(exec) {
+            return false;
+        }
+        self.points += 1;
+        if self.violation.is_none() {
+            self.violation = match check {
+                Check::Monitor { oracle, canon } => canon
+                    .observe(oracle(exec), exec.snapshot())
+                    .err()
+                    .map(|v| v.to_string()),
+                Check::Direct(oracle) => {
+                    let view = oracle(&exec.snapshot());
+                    (view.observed != view.canonical).then(|| {
+                        format!(
+                            "at a permitted ({model:?}) point, memory {:?} is not the canonical \
+                             representation {:?} of state {}",
+                            view.observed, view.canonical, view.state
+                        )
+                    })
+                }
+            };
+        }
+        true
     }
 
-    /// The first canonicity violation found, if any.
-    pub fn violation(&self) -> Option<&str> {
+    /// Whether the audit examines memory at all (`false` only for
+    /// [`SimAudit::LinOnly`]).
+    pub(crate) fn audits(&self) -> bool {
+        self.audit.is_some()
+    }
+
+    /// The first violation found, rendered.
+    pub(crate) fn violation(&self) -> Option<&str> {
         self.violation.as_deref()
     }
 
-    /// Converts the observer into a result: `Ok(points)` if every examined
-    /// point was canonical.
+    /// `Ok(points)`, the number of permitted points examined, if every one
+    /// passed.
     ///
     /// # Errors
     ///
-    /// The rendered first violation, if any.
-    pub fn into_result(self) -> Result<u64, String> {
-        match self.violation {
-            Some(v) => Err(v),
-            None => Ok(self.points),
+    /// The rendered first violation.
+    pub(crate) fn verdict(&self) -> Result<u64, String> {
+        self.violation.clone().map_or(Ok(self.points), Err)
+    }
+
+    /// Distinct abstract states a [`SimAudit::Monitor`] audit has seen (0
+    /// for the other audits, which keep no state map).
+    pub(crate) fn distinct_states(&self) -> u64 {
+        match &self.audit {
+            Some((_, Check::Monitor { canon, .. })) => canon.len() as u64,
+            _ => 0,
+        }
+    }
+
+    /// The abstract state of `exec`'s configuration, for
+    /// [`SimAudit::Monitor`] audits (whose oracle decodes one); `None`
+    /// otherwise.
+    pub(crate) fn decode(&mut self, exec: &Executor<S, I>) -> Option<S::State> {
+        match &mut self.audit {
+            Some((_, Check::Monitor { oracle, .. })) => Some(oracle(exec)),
+            _ => None,
         }
     }
 }
 
-impl<S: ObjectSpec, I: Implementation<S>> StepObserver<S, I> for DirectCanonicalObserver {
-    fn observe(&mut self, exec: &Executor<S, I>) {
-        if self.violation.is_some() || !self.model.permits(exec) {
-            return;
-        }
-        self.points += 1;
-        let view = (self.oracle)(&exec.snapshot());
-        if view.observed != view.canonical {
-            self.violation = Some(format!(
-                "at a permitted ({:?}) point, memory {:?} is not the canonical \
-                 representation {:?} of state {}",
-                self.model, view.observed, view.canonical, view.state
-            ));
-        }
-    }
+/// The auditor of `obj`'s [`SimObject::hi_audit`], after checking the
+/// object's metadata.
+///
+/// # Panics
+///
+/// Panics if role count ≠ process count, or audit model ≠ [`model_for`] of
+/// the declared [`HiLevel`].
+pub(crate) fn auditor_for<S, O>(obj: &O) -> SimAuditor<S, O::Machine>
+where
+    S: ObjectSpec,
+    O: SimObject<S>,
+{
+    let roles = obj.roles();
+    assert_eq!(
+        roles.num_handles(),
+        obj.implementation().num_processes(),
+        "role discipline {roles:?} disagrees with the step machine's process count"
+    );
+    let audit = obj.hi_audit();
+    assert_eq!(
+        audit.model(),
+        model_for(obj.hi_level()),
+        "audit {audit:?} does not match the declared HI level {:?}",
+        obj.hi_level()
+    );
+    SimAuditor::new(audit)
 }
 
 /// The role-mirrored workload of a [`SimObject`] under `seed`: per-role
@@ -392,51 +479,21 @@ where
     S: EnumerableSpec,
     O: SimObject<S>,
 {
-    let imp = obj.implementation();
-    let roles = obj.roles();
-    assert_eq!(
-        roles.num_handles(),
-        imp.num_processes(),
-        "role discipline {roles:?} disagrees with the step machine's process count"
-    );
-    let audit = obj.hi_audit();
-    assert_eq!(
-        audit.model(),
-        model_for(obj.hi_level()),
-        "audit {audit:?} does not match the declared HI level {:?}",
-        obj.hi_level()
-    );
-    let workload = sim_workload(obj.spec(), roles, ops_per_pid, seed);
-    let mut exec = Executor::new(imp.clone());
-    let mut sched = Seeded::new(seed);
-    let (hi_points, audited) = match audit {
-        SimAudit::LinOnly => {
-            run_workload(&mut exec, workload, &mut sched, &mut (), max_steps)
-                .map_err(|e| e.to_string())?;
-            (0, false)
-        }
-        SimAudit::Monitor { model, mut oracle } => {
-            let mut monitor = HiMonitor::new(model);
-            {
-                let mut observer = |e: &Executor<S, O::Machine>| {
-                    if monitor.model().permits(e) {
-                        let state = oracle(e);
-                        monitor.observe(e, state);
-                    }
-                };
-                run_workload(&mut exec, workload, &mut sched, &mut observer, max_steps)
-                    .map_err(|e| e.to_string())?;
-            }
-            let points = monitor.into_result().map_err(|v| v.to_string())?;
-            (points, true)
-        }
-        SimAudit::DirectCanonical { model, oracle } => {
-            let mut observer = DirectCanonicalObserver::new(model, oracle);
-            run_workload(&mut exec, workload, &mut sched, &mut observer, max_steps)
-                .map_err(|e| e.to_string())?;
-            (observer.into_result()?, true)
-        }
+    let mut auditor = auditor_for(obj);
+    let workload = sim_workload(obj.spec(), obj.roles(), ops_per_pid, seed);
+    let mut exec = Executor::new(obj.implementation().clone());
+    let mut observer = |e: &Executor<S, O::Machine>| {
+        auditor.observe(e);
     };
+    run_workload(
+        &mut exec,
+        workload,
+        &mut Seeded::new(seed),
+        &mut observer,
+        max_steps,
+    )
+    .map_err(|e| e.to_string())?;
+    let (hi_points, audited) = (auditor.verdict()?, auditor.audits());
     if audited && hi_points == 0 {
         return Err("the HI audit examined no observation point".to_string());
     }
@@ -626,24 +683,32 @@ mod tests {
         assert_eq!(report.hi_points, 0);
     }
 
+    /// Runs every sim checker — the seeded check, the fault sweep and the
+    /// model checker — on `obj`, and asserts each one rejects it with an
+    /// error containing `wording`.
+    fn every_checker_rejects(obj: &LeakyRegister, wording: &str) {
+        let errs = [
+            check_sim_object(obj, 11, OPS, 100_000).unwrap_err(),
+            crate::check_sim_object_faults(obj, &crate::FaultSweepConfig::new(11, OPS, 100_000))
+                .unwrap_err(),
+            crate::check_sim_object_exhaustive(obj, &crate::ExhaustiveConfig::new(11, 2))
+                .unwrap_err(),
+        ];
+        for err in errs {
+            assert!(err.contains(wording), "expected `{wording}`, got: {err}");
+        }
+    }
+
     #[test]
     fn monitor_audit_catches_the_leak() {
         let obj = LeakyRegister::new(2, HiLevel::StateQuiescent, false);
-        let err = check_sim_object(&obj, 11, OPS, 100_000).unwrap_err();
-        assert!(
-            err.contains("representations"),
-            "expected an HI violation, got: {err}"
-        );
+        every_checker_rejects(&obj, "observed with two memory representations");
     }
 
     #[test]
     fn direct_canonical_audit_catches_the_leak() {
         let obj = LeakyRegister::new(2, HiLevel::StateQuiescent, true);
-        let err = check_sim_object(&obj, 11, OPS, 100_000).unwrap_err();
-        assert!(
-            err.contains("not the canonical representation"),
-            "expected a canonicity violation, got: {err}"
-        );
+        every_checker_rejects(&obj, "is not the canonical representation");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`universal`] — Algorithm 5: the wait-free state-quiescent HI universal
 //!   construction, plus baselines.
 //! * [`hashtable`] — HI hash tables: the sequential canonical Robin Hood
-//!   table, the phase-concurrent table of [42], and the phase-free
+//!   table, the phase-concurrent table of \[42\], and the phase-free
 //!   concurrent table (arXiv:2503.21016 direction) with its simulator twin.
 //! * [`shard`] — scale-out: the sharded table-of-tables with per-shard
 //!   seqlocks and **online resize** (capacity as part of the canonical
@@ -39,7 +39,7 @@
 //!   drain-barrier mid-soak HI audits, online (mid-flight) HI probes on
 //!   perfect-HI backends, and per-span tail-latency histograms over the
 //!   [`soak_registry`](hi_service::soak_registry) scenarios.
-//! * [`bench`] — the log-scale latency histogram, the revision-keyed
+//! * [`bench`](mod@bench) — the log-scale latency histogram, the revision-keyed
 //!   `BENCH_*.json` writers, and the cross-PR latency
 //!   [`delta`](hi_bench::delta) gate behind the `bench_delta` CLI.
 //!
