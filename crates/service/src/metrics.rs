@@ -58,9 +58,13 @@ pub struct EpochMetrics {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ServiceMetrics {
     /// Final per-worker applied/planned counters. Planned counts come from
-    /// the driver's dry-run of every client's sampling — exact under
+    /// the dry-run of every client's sampling in the one routing plan built
+    /// per soak and shared with the watchdog — exact under
     /// [`crate::Backpressure::Block`], an upper bound under `Reject`
-    /// (rejected operations never reach their worker).
+    /// (rejected operations never reach their worker). Applied counts
+    /// match [`crate::WorkerStats::applied`]: the record each worker hands
+    /// back at every drain barrier, folded once into the report's merged
+    /// histograms.
     pub progress: MetricsSnapshot,
     /// One entry per epoch, in order.
     pub epochs: Vec<EpochMetrics>,

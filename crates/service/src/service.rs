@@ -143,9 +143,10 @@ impl SoakConfig {
         epoch_ops / self.clients + usize::from(c < epoch_ops % self.clients)
     }
 
-    /// The RNG of client `c` in epoch `e` — also what the watchdog's
-    /// dry-run uses to precompute per-worker planned totals, so the two
-    /// must never drift.
+    /// The RNG of client `c` in epoch `e` — also what [`SoakPlan::new`]'s
+    /// dry-run draws to precompute the per-worker planned totals. That
+    /// plan is built once per soak and shared by the epoch loop and the
+    /// watchdog, so the planned counts and the routed ops never drift.
     fn client_rng(&self, e: usize, c: usize) -> SplitMix64 {
         // Epoch-salted so re-split epochs draw fresh streams.
         let epoch_seed = self.seed.wrapping_add((e as u64).wrapping_mul(0x9e37_79b9));
@@ -196,6 +197,20 @@ pub struct WorkerStats {
     /// Dequeue-to-completion service time of this worker's operations
     /// (empty when tracing is off).
     pub service: Histogram,
+}
+
+impl WorkerStats {
+    /// An empty record for worker `worker`.
+    fn new(worker: usize) -> Self {
+        WorkerStats {
+            worker,
+            applied: 0,
+            max_queue_depth: 0,
+            latency: Histogram::new(),
+            queue_wait: Histogram::new(),
+            service: Histogram::new(),
+        }
+    }
 }
 
 /// Result of a successful soak.
@@ -405,40 +420,50 @@ fn dispatch_table<S: EnumerableSpec>(
         .collect()
 }
 
-/// Dry-runs every client's sampling (no object, no threads) to compute how
-/// many operations the soak will route to each worker — the `planned`
-/// side of the watchdog's [`ProgressCounters`]. Exact under
-/// [`Backpressure::Block`]; an upper bound under `Reject`.
-fn planned_per_worker<S: EnumerableSpec>(
-    table: &[(S::Op, usize)],
-    sampler: &KeySampler,
-    workers: usize,
-    cfg: &SoakConfig,
-) -> Vec<usize> {
-    let epochs = cfg.mid_audits + 1;
-    let mut planned = vec![0usize; workers];
-    for e in 0..epochs {
-        let epoch_ops = cfg.epoch_ops(e, epochs);
-        for c in 0..cfg.clients {
-            let mut rng = cfg.client_rng(e, c);
-            for _ in 0..cfg.client_ops(epoch_ops, c) {
-                planned[table[sampler.sample(&mut rng)].1] += 1;
-            }
-        }
-    }
-    planned
+/// Everything a soak derives from its config and object before the first
+/// epoch, built once per soak: the epoch loop routes by it and the
+/// watchdog's [`ProgressCounters`] are sized by its planned totals.
+struct SoakPlan<S: EnumerableSpec> {
+    /// The validated config.
+    cfg: SoakConfig,
+    menus: Vec<Vec<S::Op>>,
+    table: Vec<(S::Op, usize)>,
+    sampler: KeySampler,
+    /// Operations the soak will route to each worker: exact under
+    /// [`Backpressure::Block`], an upper bound under `Reject`.
+    planned: Vec<usize>,
 }
 
-/// What one worker thread hands back when its shard drains.
-struct WorkerOut {
-    latency: Histogram,
-    queue_wait: Histogram,
-    service: Histogram,
-    applied: usize,
-    max_depth: usize,
+impl<S: EnumerableSpec> SoakPlan<S> {
+    fn new<O: ConcurrentObject<S>>(obj: &O, cfg: &SoakConfig) -> Self {
+        cfg.validate();
+        let menus = menus_for(obj.spec(), obj.roles());
+        let table = dispatch_table(obj.spec(), &menus, cfg.seed);
+        let sampler = KeySampler::new(cfg.key_dist, table.len());
+        // Dry-run every client's sampling (no object, no threads).
+        let epochs = cfg.mid_audits + 1;
+        let mut planned = vec![0usize; menus.len()];
+        for e in 0..epochs {
+            let epoch_ops = cfg.epoch_ops(e, epochs);
+            for c in 0..cfg.clients {
+                let mut rng = cfg.client_rng(e, c);
+                for _ in 0..cfg.client_ops(epoch_ops, c) {
+                    planned[table[sampler.sample(&mut rng)].1] += 1;
+                }
+            }
+        }
+        SoakPlan {
+            cfg: *cfg,
+            menus,
+            table,
+            sampler,
+            planned,
+        }
+    }
 }
 
 /// What the prober thread (online non-barrier HI audits) hands back.
+#[derive(Default)]
 struct ProbeOut {
     taken: usize,
     passed: usize,
@@ -446,15 +471,12 @@ struct ProbeOut {
 }
 
 /// What one epoch hands back to the soak loop.
+#[derive(Default)]
 struct EpochOut {
     submitted: usize,
     rejected: usize,
     blocked: usize,
-    applied: usize,
-    latency: Histogram,
-    queue_wait: Histogram,
-    service: Histogram,
-    workers: Vec<WorkerOut>,
+    workers: Vec<WorkerStats>,
     probes: ProbeOut,
 }
 
@@ -467,13 +489,9 @@ struct ClientState {
 
 /// Runs one epoch: split handles, pump `epoch_ops` operations through the
 /// sharded queues, drain, and return with every handle dropped.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch<S, O>(
     obj: &mut O,
-    menus: &[Vec<S::Op>],
-    table: &[(S::Op, usize)],
-    sampler: &KeySampler,
-    cfg: &SoakConfig,
+    plan: &SoakPlan<S>,
     epoch: usize,
     epoch_ops: usize,
     progress: &ProgressCounters,
@@ -483,10 +501,11 @@ where
     S::Op: Send + Sync,
     O: ConcurrentObject<S>,
 {
+    let cfg = &plan.cfg;
     let (handles, probe) = obj.handles_with_probe();
     assert_eq!(
         handles.len(),
-        menus.len(),
+        plan.menus.len(),
         "handles() disagrees with the declared role discipline"
     );
     let workers = handles.len();
@@ -501,21 +520,7 @@ where
     let abort = AtomicBool::new(false);
     let probing_done = AtomicBool::new(false);
 
-    let mut out = EpochOut {
-        submitted: 0,
-        rejected: 0,
-        blocked: 0,
-        applied: 0,
-        latency: Histogram::new(),
-        queue_wait: Histogram::new(),
-        service: Histogram::new(),
-        workers: Vec::with_capacity(workers),
-        probes: ProbeOut {
-            taken: 0,
-            passed: 0,
-            first_failure: None,
-        },
-    };
+    let mut out = EpochOut::default();
 
     let verdict: Result<(), SoakError> = std::thread::scope(|s| {
         // --- workers: one per handle, draining their shard until every
@@ -524,21 +529,15 @@ where
         let mut worker_joins = Vec::with_capacity(workers);
         for ((w, mut handle), rx) in handles.into_iter().enumerate().zip(rxs) {
             assert!(
-                menus[w].iter().all(|op| handle.supports(op)),
+                plan.menus[w].iter().all(|op| handle.supports(op)),
                 "worker {w} does not support its role menu"
             );
             let depth = &depth[w];
             worker_joins.push(s.spawn(move || {
-                let mut wo = WorkerOut {
-                    latency: Histogram::new(),
-                    queue_wait: Histogram::new(),
-                    service: Histogram::new(),
-                    applied: 0,
-                    max_depth: 0,
-                };
+                let mut wo = WorkerStats::new(w);
                 while let Ok(env) = rx.recv() {
                     // Gauge read at dequeue: depth including this op.
-                    wo.max_depth = wo.max_depth.max(depth.fetch_sub(1, GAUGE_ORD));
+                    wo.max_queue_depth = wo.max_queue_depth.max(depth.fetch_sub(1, GAUGE_ORD));
                     if trace {
                         // Span stamps: ingress (on the envelope), dequeue,
                         // complete — so the end-to-end latency splits into
@@ -575,11 +574,7 @@ where
             let probing_done = &probing_done;
             let mut rng = SplitMix64::new(handle_seed(cfg.seed ^ 0x0b5e_9ed5, epoch));
             s.spawn(move || {
-                let mut po = ProbeOut {
-                    taken: 0,
-                    passed: 0,
-                    first_failure: None,
-                };
+                let mut po = ProbeOut::default();
                 loop {
                     let verdict = p.sample();
                     po.taken += 1;
@@ -632,7 +627,7 @@ where
                         for _ in 0..cs.arrival.next_gap() {
                             std::thread::yield_now();
                         }
-                        let (op, w) = &table[sampler.sample(&mut cs.rng)];
+                        let (op, w) = &plan.table[plan.sampler.sample(&mut cs.rng)];
                         let env = Envelope {
                             op: op.clone(),
                             submitted: Instant::now(),
@@ -692,21 +687,8 @@ where
         let mut worker_panic: Option<(usize, String)> = None;
         for (w, j) in worker_joins.into_iter().enumerate() {
             match j.join() {
-                Ok(wo) => {
-                    out.latency.merge(&wo.latency);
-                    out.queue_wait.merge(&wo.queue_wait);
-                    out.service.merge(&wo.service);
-                    out.applied += wo.applied;
-                    out.workers.push(wo);
-                }
+                Ok(wo) => out.workers.push(wo),
                 Err(payload) => {
-                    out.workers.push(WorkerOut {
-                        latency: Histogram::new(),
-                        queue_wait: Histogram::new(),
-                        service: Histogram::new(),
-                        applied: 0,
-                        max_depth: 0,
-                    });
                     worker_panic = Some((w, panic_message(payload)));
                 }
             }
@@ -765,7 +747,9 @@ where
     O: ConcurrentObject<S>,
     F: FnMut(&AuditPoint<'_>),
 {
-    run_soak_core(obj, cfg, &mut observe, None)
+    let plan = SoakPlan::new(obj, cfg);
+    let counters = ProgressCounters::new(plan.planned.clone());
+    run_soak_core(obj, &plan, &counters, &mut observe)
 }
 
 /// Drives `obj` through a full soak: `mid_audits + 1` epochs of sharded
@@ -781,40 +765,25 @@ where
     S::Op: Send + Sync,
     O: ConcurrentObject<S>,
 {
-    run_soak_core(obj, cfg, &mut |_| {}, None)
+    run_soak_with(obj, cfg, |_| {})
 }
 
+/// The epoch loop of every soak entry point: `counters` were sized by
+/// `plan` and, on the watchdogged path, are shared with the watchdog.
 fn run_soak_core<S, O>(
     obj: &mut O,
-    cfg: &SoakConfig,
+    plan: &SoakPlan<S>,
+    counters: &ProgressCounters,
     observe: &mut dyn FnMut(&AuditPoint<'_>),
-    progress: Option<&ProgressCounters>,
 ) -> Result<SoakReport, SoakError>
 where
     S: EnumerableSpec,
     S::Op: Send + Sync,
     O: ConcurrentObject<S>,
 {
-    cfg.validate();
-    let spec = obj.spec().clone();
-    let menus = menus_for(&spec, obj.roles());
-    let table = dispatch_table(&spec, &menus, cfg.seed);
-    let sampler = KeySampler::new(cfg.key_dist, table.len());
+    let cfg = &plan.cfg;
     let auditable = obj.hi_level().auditable();
     let epochs = cfg.mid_audits + 1;
-
-    // Progress counters always exist so the report's metrics carry the
-    // final per-worker applied/planned snapshot; the watchdogged path
-    // passes its own (shared with the watchdog) instead.
-    let owned_counters;
-    let counters = match progress {
-        Some(p) => p,
-        None => {
-            owned_counters =
-                ProgressCounters::new(planned_per_worker::<S>(&table, &sampler, menus.len(), cfg));
-            &owned_counters
-        }
-    };
 
     let start = Instant::now();
     let mut report = SoakReport {
@@ -827,16 +796,7 @@ where
         latency: Histogram::new(),
         queue_wait: Histogram::new(),
         service: Histogram::new(),
-        workers: (0..menus.len())
-            .map(|w| WorkerStats {
-                worker: w,
-                applied: 0,
-                max_queue_depth: 0,
-                latency: Histogram::new(),
-                queue_wait: Histogram::new(),
-                service: Histogram::new(),
-            })
-            .collect(),
+        workers: (0..plan.menus.len()).map(WorkerStats::new).collect(),
         sampled_audits: Vec::new(),
         metrics: ServiceMetrics {
             progress: counters.snapshot(),
@@ -858,20 +818,16 @@ where
     for epoch in 0..epochs {
         let epoch_ops = cfg.epoch_ops(epoch, epochs);
         let load_start = Instant::now();
-        let out = run_epoch(
-            obj, &menus, &table, &sampler, cfg, epoch, epoch_ops, counters,
-        )?;
+        let out = run_epoch(obj, plan, epoch, epoch_ops, counters)?;
         let load = load_start.elapsed();
+        let applied: usize = out.workers.iter().map(|wo| wo.applied).sum();
         report.ops_submitted += out.submitted;
         report.ops_rejected += out.rejected;
         report.sends_blocked += out.blocked;
-        report.ops_applied += out.applied;
-        report.latency.merge(&out.latency);
-        report.queue_wait.merge(&out.queue_wait);
-        report.service.merge(&out.service);
+        report.ops_applied += applied;
         for (ws, wo) in report.workers.iter_mut().zip(&out.workers) {
             ws.applied += wo.applied;
-            ws.max_queue_depth = ws.max_queue_depth.max(wo.max_depth);
+            ws.max_queue_depth = ws.max_queue_depth.max(wo.max_queue_depth);
             ws.latency.merge(&wo.latency);
             ws.queue_wait.merge(&wo.queue_wait);
             ws.service.merge(&wo.service);
@@ -936,7 +892,7 @@ where
         let maint_now = obj.maintenance().unwrap_or_default();
         report.metrics.epochs.push(EpochMetrics {
             epoch,
-            ops_applied: out.applied,
+            ops_applied: applied,
             load,
             audit_pause: pause_start.elapsed(),
             probes: out.probes.taken,
@@ -947,6 +903,12 @@ where
                 .saturating_sub(maint_prev.resize_pause),
         });
         maint_prev = maint_now;
+    }
+    // One exact fold of the per-worker records into the merged histograms.
+    for ws in &report.workers {
+        report.latency.merge(&ws.latency);
+        report.queue_wait.merge(&ws.queue_wait);
+        report.service.merge(&ws.service);
     }
     report.elapsed = start.elapsed();
     report.metrics.progress = counters.snapshot();
@@ -978,15 +940,11 @@ where
     let cfg = *cfg;
     let watched = watchdogged("hi-soak-watchdogged", cfg.deadline, move |pre| {
         let mut obj = make();
-        let spec = obj.spec().clone();
-        let menus = menus_for(&spec, obj.roles());
-        let table = dispatch_table(&spec, &menus, cfg.seed);
-        let sampler = KeySampler::new(cfg.key_dist, table.len());
-        let planned = planned_per_worker::<S>(&table, &sampler, menus.len(), &cfg);
-        let counters = Arc::new(ProgressCounters::new(planned));
+        let plan = SoakPlan::new(&obj, &cfg);
+        let counters = Arc::new(ProgressCounters::new(plan.planned.clone()));
         // Preflight: the live per-worker counters a wedge is diagnosed from.
         let _ = pre.send(Arc::clone(&counters));
-        run_soak_core(&mut obj, &cfg, &mut |_| {}, Some(&counters))
+        run_soak_core(&mut obj, &plan, &counters, &mut |_| {})
     });
     match watched {
         Watched::Done(verdict) => verdict,

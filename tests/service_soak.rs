@@ -8,9 +8,13 @@
 
 use std::time::Duration;
 
+use hi_concurrent::api::HashTableObject;
 use hi_concurrent::bench::hist::Histogram;
+use hi_concurrent::core::objects::HashSetSpec;
+use hi_concurrent::core::KeyDist;
 use hi_concurrent::service::{
-    soak_registry, soak_scenario, Backpressure, OnlineAudit, SoakConfig, SoakError, WorkerStats,
+    run_soak, soak_registry, soak_scenario, soak_watchdogged, Backpressure, OnlineAudit,
+    SoakConfig, SoakError, SoakReport, WorkerStats,
 };
 
 /// Base seeds per scenario, extended by `HI_CONFORMANCE_SEED` if set.
@@ -86,6 +90,14 @@ fn every_soak_scenario_survives_with_mid_soak_audits() {
                 assert_eq!(report.ops_applied, cfg.total_ops, "{}", scenario.name);
                 assert_eq!(report.ops_submitted, cfg.total_ops, "{}", scenario.name);
                 assert_eq!(report.ops_rejected, 0, "{}", scenario.name);
+                // The plan's per-worker totals are exact under Block, so
+                // the final progress snapshot shows every worker drained.
+                assert!(
+                    report.metrics.progress.is_drained(),
+                    "{}: {:?}",
+                    scenario.name,
+                    report.metrics.progress
+                );
             }
             // Every applied op is one latency sample, and — since tracing
             // is on by default — one queue-wait and one service-time span.
@@ -113,26 +125,42 @@ fn every_soak_scenario_survives_with_mid_soak_audits() {
                 "{}",
                 scenario.name
             );
+            // The live progress counters and the per-worker records
+            // count the same applied operations.
+            let progress_applied: Vec<usize> = report
+                .metrics
+                .progress
+                .handles
+                .iter()
+                .map(|h| h.applied)
+                .collect();
+            let worker_applied: Vec<usize> = report.workers.iter().map(|w| w.applied).collect();
+            assert_eq!(progress_applied, worker_applied, "{}", scenario.name);
             // Per-worker span attribution is a partition of the merged
-            // histograms: worker counts sum to the report's.
-            let worker_sum = |pick: fn(&WorkerStats) -> &Histogram| {
-                report.workers.iter().map(|w| pick(w).count()).sum::<u64>()
+            // histograms: the workers' histograms merge to the report's
+            // exactly, bucket for bucket.
+            let worker_merge = |pick: fn(&WorkerStats) -> &Histogram| {
+                let mut all = Histogram::new();
+                for w in &report.workers {
+                    all.merge(pick(w));
+                }
+                all
             };
             assert_eq!(
-                worker_sum(|w| &w.latency),
-                report.latency.count(),
+                worker_merge(|w| &w.latency),
+                report.latency,
                 "{}",
                 scenario.name
             );
             assert_eq!(
-                worker_sum(|w| &w.queue_wait),
-                report.queue_wait.count(),
+                worker_merge(|w| &w.queue_wait),
+                report.queue_wait,
                 "{}",
                 scenario.name
             );
             assert_eq!(
-                worker_sum(|w| &w.service),
-                report.service.count(),
+                worker_merge(|w| &w.service),
+                report.service,
                 "{}",
                 scenario.name
             );
@@ -230,11 +258,29 @@ fn soak_dispatch_is_deterministic_per_seed() {
     let (a, b) = (run(), run());
     // Timing differs run to run; the sharded dispatch must not. The same
     // seed routes the same multiset of operations to the same workers.
-    let applied = |r: &hi_concurrent::service::SoakReport| {
-        r.workers.iter().map(|w| w.applied).collect::<Vec<_>>()
-    };
+    let applied = |r: &SoakReport| r.workers.iter().map(|w| w.applied).collect::<Vec<_>>();
     assert_eq!(applied(&a), applied(&b));
     assert_eq!(a.ops_submitted, b.ops_submitted);
+}
+
+#[test]
+fn plain_and_watchdogged_soaks_route_identically() {
+    // Both entry points build their routing plan the same way, so one
+    // constructor and one config must route the same operations to the
+    // same workers whichever way the soak is launched.
+    let make = || HashTableObject::new(HashSetSpec::new(16), 29, 4);
+    let cfg = SoakConfig {
+        key_dist: KeyDist::Zipfian { theta: 1.1 },
+        backpressure: Backpressure::Block,
+        ..ci_cfg(0x5a1e)
+    };
+    let plain = run_soak(&mut make(), &cfg).expect("plain soak");
+    let watched = soak_watchdogged(make, &cfg).expect("watchdogged soak");
+    assert_eq!(plain.metrics.progress, watched.metrics.progress);
+    assert!(plain.metrics.progress.is_drained());
+    let applied = |r: &SoakReport| r.workers.iter().map(|w| w.applied).collect::<Vec<_>>();
+    assert_eq!(applied(&plain), applied(&watched));
+    assert_eq!(plain.ops_applied, cfg.total_ops);
 }
 
 #[test]
