@@ -6,7 +6,7 @@ use hi_core::ObjectSpec;
 use hi_llsc::{LlscLayout, PackedRLlsc, RLlscOp, RLlscResp, RLlscSpec};
 
 use crate::object::{
-    ConcurrentObject, HiLevel, ObjectHandle, OnlineProbe, ProbeVerdict, Progress, Roles,
+    CanonicalView, ConcurrentObject, HiLevel, ObjectHandle, OnlineProbe, Progress, Roles,
 };
 
 /// Algorithm 6 through the unified facade: one packed word, `n` symmetric
@@ -39,6 +39,20 @@ impl LlscObject {
     /// The underlying backend, for backend-specific inspection.
     pub fn backend(&self) -> &PackedRLlsc {
         &self.cell
+    }
+
+    /// Decodes a raw word into its `(value, context)` pair, or says why
+    /// the pair lies outside the spec's domain.
+    fn decode(&self, raw: u64) -> Result<(u64, u64), String> {
+        let (layout, v, n) = (self.cell.layout(), self.spec.v(), self.spec.n());
+        let (val, ctx) = (layout.val(raw), layout.context(raw));
+        if val >= v {
+            return Err(format!("value {val} outside the spec domain 0..{v}"));
+        }
+        if ctx >= 1 << n {
+            return Err(format!("context bits {ctx:#b} beyond the {n} processes"));
+        }
+        Ok((val, ctx))
     }
 }
 
@@ -103,22 +117,26 @@ impl ConcurrentObject<RLlscSpec> for LlscObject {
     }
 
     fn handles_with_probe(&mut self) -> (Vec<LlscHandle<'_>>, Option<OnlineProbe<'_>>) {
-        let cell = &self.cell;
-        let (v, n) = (self.spec.v(), self.spec.n());
+        let (this, cell, n) = (&*self, &self.cell, self.spec.n());
         let handles = (0..n).map(|pid| LlscHandle { cell, pid }).collect();
         // Perfect HI: the word is a bijection of `(value, context)`, so a
         // sample at any configuration must be the packing of an in-domain
         // pair — no stray bits above the fields, value inside the spec
-        // domain, context inside the process range.
+        // domain, context inside the process range. An out-of-domain word
+        // gets an empty canonical form: no state packs to it.
         let probe = OnlineProbe::new(move || {
             let raw = cell.raw();
-            let layout = cell.layout();
-            let (val, ctx) = (layout.val(raw), layout.context(raw));
-            let in_domain = val < v && ctx < (1u64 << n);
-            ProbeVerdict {
-                canonical: in_domain && layout.pack(val, ctx) == raw,
-                state: format!("({val}, {ctx:#b})"),
-                mem: vec![raw],
+            let decoded = this.decode(raw);
+            CanonicalView {
+                observed: vec![raw],
+                canonical: decoded
+                    .iter()
+                    .map(|&(v, c)| cell.layout().pack(v, c))
+                    .collect(),
+                state: decoded.map_or_else(
+                    |why| format!("none ({why})"),
+                    |(v, c)| format!("({v}, {c:#b})"),
+                ),
             }
         });
         (handles, Some(probe))
@@ -142,19 +160,7 @@ impl ConcurrentObject<RLlscSpec> for LlscObject {
     /// History leaks through the *value* field are what the drive's
     /// response linearization and the sim twin's perfect-HI monitor catch.
     fn abstract_state(&self) -> (u64, u64) {
-        let raw = self.cell.raw();
-        let layout = self.cell.layout();
-        let (val, ctx) = (layout.val(raw), layout.context(raw));
-        assert!(
-            val < self.spec.v(),
-            "memory corrupt: value {val} outside the spec domain 0..{}",
-            self.spec.v()
-        );
-        assert!(
-            ctx < (1 << self.spec.n()),
-            "memory corrupt: context bits {ctx:#b} beyond the {} processes",
-            self.spec.n()
-        );
-        (val, ctx)
+        self.decode(self.cell.raw())
+            .unwrap_or_else(|why| panic!("memory corrupt: {why}"))
     }
 }

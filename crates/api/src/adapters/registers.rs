@@ -12,7 +12,7 @@ use hi_registers::threaded::{
 };
 
 use crate::object::{
-    ConcurrentObject, HiLevel, ObjectHandle, OnlineProbe, ProbeVerdict, Progress, Roles,
+    CanonicalView, ConcurrentObject, HiLevel, ObjectHandle, OnlineProbe, Progress, Roles,
 };
 
 /// Generates the adapter object + role-enum handle for one SWSR register
@@ -365,12 +365,12 @@ impl ConcurrentObject<SetSpec> for HiSetObject {
         // vector of *some* state, so a sample at any moment must decode
         // and re-encode to itself — each cell is exactly 0 or 1.
         let probe = OnlineProbe::new(move || {
-            let mem = set.snapshot();
-            let state = hi_core::cells::mask_of_bits(&mem);
-            ProbeVerdict {
-                canonical: mem == set.canonical(state),
-                state: format!("{state:#x}"),
-                mem,
+            let observed = set.snapshot();
+            let state = hi_core::cells::mask_of_bits(&observed);
+            CanonicalView {
+                canonical: set.canonical(state),
+                state: format!("{state:?}"),
+                observed,
             }
         });
         (handles, Some(probe))

@@ -28,7 +28,8 @@ use hi_hashtable::displacement;
 use hi_shard::ShardedHiHashTable;
 
 use crate::object::{
-    ConcurrentObject, HiLevel, MaintenanceSnapshot, ObjectHandle, Progress, Roles, SampledAudit,
+    CanonicalView, ConcurrentObject, HiLevel, MaintenanceSnapshot, ObjectHandle, Progress, Roles,
+    SampledAudit,
 };
 
 /// Domain bound up to which the full-image barrier audit is considered
@@ -114,11 +115,15 @@ impl<S: KeySetSpec> ShardedTableObject<S> {
                 continue;
             }
             if chosen.contains(&s) {
-                let (view, canonical) = (shard.view(), shard.canonical_view(keys));
-                if view != canonical {
-                    failure = Some(format!(
-                        "shard {s}: observed {view:?} != canonical {canonical:?}"
-                    ));
+                let view = CanonicalView {
+                    observed: shard.view(),
+                    canonical: shard.canonical_view(keys.iter().copied()),
+                    state: String::new(),
+                };
+                if !view.is_canonical() {
+                    // Only a failure pays for rendering the shard's keys.
+                    let state = format!("{keys:?}");
+                    failure = Some(format!("shard {s}: {}", CanonicalView { state, ..view }));
                 }
             } else {
                 // Structural spot checks, no canonical-layout recomputation:

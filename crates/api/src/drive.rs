@@ -30,7 +30,7 @@ use hi_spec::{linearize, LinError, LinOptions, Linearization};
 // paths.
 pub use hi_core::workload::{handle_seed, random_script};
 
-use crate::object::{ConcurrentObject, ObjectHandle};
+use crate::object::{quiescent_view, CanonicalView, ConcurrentObject, ObjectHandle};
 
 /// Configuration of a [`drive`] run.
 #[derive(Clone, Copy, Debug)]
@@ -171,19 +171,12 @@ impl MetricsSnapshot {
 
 /// Why a [`drive`] run failed.
 #[derive(Clone, Debug)]
-pub enum DriveError<S: ObjectSpec> {
+pub enum DriveError {
     /// The rebuilt history does not linearize (or the search gave up).
     Lin(LinError),
     /// The quiescent memory is not the canonical representation of the
     /// final abstract state.
-    NotCanonical {
-        /// The decoded final state.
-        state: S::State,
-        /// The observed memory.
-        mem: Vec<u64>,
-        /// The expected canonical representation.
-        canonical: Vec<u64>,
-    },
+    NotCanonical(CanonicalView),
     /// The watchdog fired: the workers did not finish within the deadline.
     /// The wedged driver thread is abandoned (its memory is reclaimed at
     /// process exit), and this diagnostic is what CI reports instead of a
@@ -211,18 +204,11 @@ pub enum DriveError<S: ObjectSpec> {
     },
 }
 
-impl<S: ObjectSpec> fmt::Display for DriveError<S> {
+impl fmt::Display for DriveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DriveError::Lin(e) => write!(f, "linearizability: {e}"),
-            DriveError::NotCanonical {
-                state,
-                mem,
-                canonical,
-            } => write!(
-                f,
-                "quiescent memory of state {state:?} is {mem:?}, expected canonical {canonical:?}"
-            ),
+            DriveError::NotCanonical(view) => write!(f, "quiescent {view}"),
             DriveError::Wedged {
                 after,
                 stalled,
@@ -248,7 +234,7 @@ impl<S: ObjectSpec> fmt::Display for DriveError<S> {
     }
 }
 
-impl<S: ObjectSpec> Error for DriveError<S> {}
+impl Error for DriveError {}
 
 /// Renders a panic payload the way the default hook would.
 pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
@@ -301,33 +287,45 @@ fn rebuild_history<O: Clone, R: Clone>(ops: Vec<StampedOp<O, R>>) -> History<O, 
 ///
 /// 1. the stamped history is rebuilt and checked for linearizability
 ///    against `obj.spec()`;
-/// 2. if the object's [`HiLevel`](crate::HiLevel) fixes a canonical form, the quiescent
-///    `mem_snapshot()` is compared against `canonical(abstract_state())`.
+/// 2. if the object's [`HiLevel`](crate::HiLevel) fixes a canonical form, its
+///    [`quiescent_view`] must be canonical.
 ///
 /// # Errors
 ///
 /// [`DriveError::Lin`] if the history does not linearize,
 /// [`DriveError::NotCanonical`] if the memory audit fails.
-pub fn drive<S, O>(obj: &mut O, cfg: &DriveConfig) -> Result<DriveReport<S>, DriveError<S>>
+pub fn drive<S, O>(obj: &mut O, cfg: &DriveConfig) -> Result<DriveReport<S>, DriveError>
 where
     S: EnumerableSpec,
     S::Op: Send,
     S::Resp: Send,
     O: ConcurrentObject<S>,
 {
-    drive_core(obj, cfg, None)
+    drive_core(obj, cfg, &drive_counters(obj, cfg))
+}
+
+/// The per-handle counters of a drive of `obj`: `cfg.ops_per_handle`
+/// planned for every handle whose role menu is non-empty.
+fn drive_counters<S: EnumerableSpec, O: ConcurrentObject<S>>(
+    obj: &O,
+    cfg: &DriveConfig,
+) -> ProgressCounters {
+    let menus = menus_for(obj.spec(), obj.roles());
+    let planned = menus
+        .iter()
+        .map(|m| usize::from(!m.is_empty()) * cfg.ops_per_handle);
+    ProgressCounters::new(planned.collect())
 }
 
 /// The shared drive core: what [`drive`] runs directly and what the
-/// [`drive_watchdogged`] driver thread runs behind the watchdog. When
-/// `progress` is given (one counter per handle, role order), workers bump
-/// their counter after every completed operation so the watchdog can report
-/// *which* handles stalled.
+/// [`drive_watchdogged`] driver thread runs behind the watchdog. Workers
+/// bump their `progress` counter (one per handle, role order) after every
+/// completed operation, so the watchdog can report *which* handles stalled.
 fn drive_core<S, O>(
     obj: &mut O,
     cfg: &DriveConfig,
-    progress: Option<&ProgressCounters>,
-) -> Result<DriveReport<S>, DriveError<S>>
+    progress: &ProgressCounters,
+) -> Result<DriveReport<S>, DriveError>
 where
     S: EnumerableSpec,
     S::Op: Send,
@@ -338,14 +336,11 @@ where
     // The same role-aware menus the sim checker derives for the twin
     // scenario: both worlds are workload-mirrored by construction.
     let menus = menus_for(&spec, obj.roles());
-    if let Some(p) = progress {
-        assert_eq!(
-            p.num_handles(),
-            menus.len(),
-            "one progress counter per handle"
-        );
-    }
-    let audit = obj.hi_level().auditable();
+    assert_eq!(
+        progress.num_handles(),
+        menus.len(),
+        "one progress counter per handle"
+    );
     // Worker panics are caught, not propagated: a propagated panic would
     // abort the scope join and lose the handle index, and under the
     // watchdog it must surface as a structured DriveError, not a dead
@@ -387,9 +382,7 @@ where
                                 op,
                                 resp,
                             });
-                            if let Some(p) = progress {
-                                p.bump(i);
-                            }
+                            progress.bump(i);
                         }
                         local
                     }));
@@ -412,26 +405,19 @@ where
 
     let history = rebuild_history(log);
     let lin = linearize(&spec, &history, &cfg.lin).map_err(DriveError::Lin)?;
-    let final_state = obj.abstract_state();
-    let mem = obj.mem_snapshot();
-    if audit {
-        let canonical = obj
-            .canonical(&final_state)
-            .expect("auditable HiLevel must fix a canonical form");
-        if mem != canonical {
-            return Err(DriveError::NotCanonical {
-                state: final_state,
-                mem,
-                canonical,
-            });
-        }
-    }
+    let view = quiescent_view(obj);
+    let audited = view.is_some();
+    let mem = match view {
+        Some(view) if !view.is_canonical() => return Err(DriveError::NotCanonical(view)),
+        Some(view) => view.observed,
+        None => obj.mem_snapshot(),
+    };
     Ok(DriveReport {
         history,
         lin,
-        final_state,
+        final_state: obj.abstract_state(),
         mem,
-        audited: audit,
+        audited,
     })
 }
 
@@ -461,7 +447,7 @@ struct Preflight {
 pub fn drive_watchdogged<S, O>(
     make: impl FnOnce() -> O + Send + 'static,
     cfg: &DriveConfig,
-) -> Result<DriveReport<S>, DriveError<S>>
+) -> Result<DriveReport<S>, DriveError>
 where
     S: EnumerableSpec + 'static,
     S::Op: Send,
@@ -472,17 +458,12 @@ where
     let cfg = *cfg;
     let watched = watchdogged("hi-drive-watchdogged", cfg.deadline, move |pre| {
         let mut obj = make();
-        let menus = menus_for(&obj.spec().clone(), obj.roles());
-        let planned: Vec<usize> = menus
-            .iter()
-            .map(|m| if m.is_empty() { 0 } else { cfg.ops_per_handle })
-            .collect();
-        let progress = Arc::new(ProgressCounters::new(planned));
+        let progress = Arc::new(drive_counters(&obj, &cfg));
         let _ = pre.send(Preflight {
             mem0: obj.mem_snapshot(),
             progress: Arc::clone(&progress),
         });
-        drive_core(&mut obj, &cfg, Some(&progress))
+        drive_core(&mut obj, &cfg, &progress)
     });
     match watched {
         Watched::Done(verdict) => verdict,

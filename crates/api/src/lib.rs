@@ -13,7 +13,9 @@
 //! * [`ConcurrentObject`] / [`ObjectHandle`] — the facade: uniform
 //!   construction ([`ConcurrentObject::handles`]), operation application,
 //!   role metadata ([`Roles`]), HI classification ([`HiLevel`]) and
-//!   quiescent-point auditing (`mem_snapshot()` vs `canonical(state)`).
+//!   quiescent-point auditing ([`quiescent_view`]: `mem_snapshot()` vs
+//!   `canonical(state)`, judged and rendered as a [`CanonicalView`] — the
+//!   same verdict the sim checkers give, re-exported from `hi_spec`).
 //! * [`adapters`] — implementations for every threaded backend: the §4
 //!   register algorithms, the positional HI queue, the releasable LL/SC
 //!   word, and the universal construction over any
@@ -59,7 +61,7 @@ pub use drive::{
 };
 pub use hi_spec::{ExhaustiveConfig, ExhaustiveReport};
 pub use object::{
-    ConcurrentObject, HiLevel, MaintenanceSnapshot, ObjectHandle, OnlineProbe, ProbeVerdict,
-    Progress, Roles, SampledAudit,
+    quiescent_view, CanonicalView, ConcurrentObject, HiLevel, MaintenanceSnapshot, ObjectHandle,
+    OnlineProbe, Progress, Roles, SampledAudit,
 };
 pub use registry::{registry, repro_command, scenario, Scenario, ScenarioMeta, ScenarioReport};

@@ -1,6 +1,7 @@
 //! The unified object facade: one trait for every threaded backend.
 
 use hi_core::ObjectSpec;
+pub use hi_spec::CanonicalView;
 
 // The role discipline, HI classification and progress classification now
 // live in `hi_core`, where the simulator twin (`hi_spec::SimObject`) shares
@@ -28,29 +29,10 @@ pub trait ObjectHandle<S: ObjectSpec> {
     fn supports(&self, op: &S::Op) -> bool;
 }
 
-/// What one online (non-barrier) history-independence probe observed: a
-/// point-in-time read of the object's memory, judged against the canonical
-/// form of the abstract state it decodes to.
-///
-/// Only meaningful for [`HiLevel::Perfect`] implementations — the paper's
-/// Definition 5 promises canonical memory in *every* configuration, so a
-/// memory-observing adversary (and this probe) may look mid-operation.
-/// Implementations of lower levels never hand out a probe: observing them
-/// mid-flight would report spurious violations the spec does not forbid.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ProbeVerdict {
-    /// Whether the observed memory is the canonical representation of a
-    /// legal abstract state.
-    pub canonical: bool,
-    /// The observed memory, cell reads in `mem_snapshot` order.
-    pub mem: Vec<u64>,
-    /// The decoded abstract state, rendered (diagnostic).
-    pub state: String,
-}
-
-/// A sampling observer over a live [`HiLevel::Perfect`] object: reads the
-/// memory representation at an arbitrary configuration — concurrent
-/// operations in full flight — and audits it for canonicality.
+/// A sampling observer over a live [`HiLevel::Perfect`] object (Definition
+/// 5: canonical memory in *every* configuration): reads the memory
+/// representation with operations in full flight and judges it as a
+/// [`CanonicalView`] of the state it decodes to.
 ///
 /// Obtained from [`ConcurrentObject::handles_with_probe`] alongside the
 /// role handles; the probe borrows the object for the same region the
@@ -58,19 +40,19 @@ pub struct ProbeVerdict {
 /// Sampling is safe at any moment by the Perfect-HI contract; each
 /// implementation's closure does its own per-cell atomic reads.
 pub struct OnlineProbe<'a> {
-    sample: Box<dyn Fn() -> ProbeVerdict + Send + 'a>,
+    sample: Box<dyn Fn() -> CanonicalView + Send + 'a>,
 }
 
 impl<'a> OnlineProbe<'a> {
     /// Wraps an implementation's sampling closure.
-    pub fn new(sample: impl Fn() -> ProbeVerdict + Send + 'a) -> Self {
+    pub fn new(sample: impl Fn() -> CanonicalView + Send + 'a) -> Self {
         OnlineProbe {
             sample: Box::new(sample),
         }
     }
 
-    /// Takes one sample: read memory now, decode, audit.
-    pub fn sample(&self) -> ProbeVerdict {
+    /// Takes one sample: read memory now, decode, re-encode.
+    pub fn sample(&self) -> CanonicalView {
         (self.sample)()
     }
 }
@@ -240,4 +222,18 @@ pub trait ConcurrentObject<S: ObjectSpec> {
     fn maintenance(&self) -> Option<MaintenanceSnapshot> {
         None
     }
+}
+
+/// The quiescent verdict of `obj`, `mem_snapshot()` vs
+/// `canonical(abstract_state())`, as [`crate::drive()`] and the `hi_service`
+/// drain barriers judge it; `None` if its [`HiLevel`] fixes no canonical
+/// form. Panics if an auditable level comes with none.
+pub fn quiescent_view<S: ObjectSpec, O: ConcurrentObject<S>>(obj: &O) -> Option<CanonicalView> {
+    let state = obj.hi_level().auditable().then(|| obj.abstract_state())?;
+    let canonical = obj.canonical(&state);
+    Some(CanonicalView {
+        observed: obj.mem_snapshot(),
+        canonical: canonical.expect("auditable HiLevel must fix a canonical form"),
+        state: format!("{state:?}"),
+    })
 }

@@ -15,9 +15,10 @@
 //! * [`service`] — the runner: [`run_soak`] drives an object through
 //!   epochs of sharded client load, bringing it state-quiescent at every
 //!   epoch boundary (a *drain barrier*) so the `mem(C) == canonical(state)`
-//!   audit runs mid-soak; quiescence at the barrier is enforced by the
-//!   borrow checker, not by timing. [`soak_watchdogged`] wraps a whole soak
-//!   in the deadline watchdog so wedges fail structured in CI.
+//!   audit ([`hi_api::quiescent_view`]) runs mid-soak; quiescence at the
+//!   barrier is enforced by the borrow checker, not by timing.
+//!   [`soak_watchdogged`] wraps a whole soak in the deadline watchdog so
+//!   wedges fail structured in CI.
 //! * [`soak`] — the registry: named scenarios pairing objects with load
 //!   shapes (uniform / Zipfian / bursty), iterated by the soak suites, the
 //!   `service_latency` bench and the CI `service-soak` job.
@@ -32,6 +33,9 @@
 //! declaring [`HiLevel::Perfect`](hi_api::HiLevel) are additionally
 //! probed *mid-flight*, between barriers, via
 //! [`handles_with_probe`](hi_api::ConcurrentObject::handles_with_probe).
+//! Barrier and probe alike judge through [`hi_api::CanonicalView`], the
+//! verdict the sim checkers give too, and a failed one renders through its
+//! `Display` inside [`SoakError`].
 //!
 //! Threads and `std::sync::mpsc` only — no async runtime, nothing
 //! vendored.

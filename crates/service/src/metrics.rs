@@ -4,10 +4,11 @@
 //!
 //! The soak loop's time splits into *load* phases (handles live, traffic
 //! flowing) and *audit pauses* (drain barriers: handles dropped, the
-//! `mem == canonical` comparison running). PR 8 smeared the pauses into one
-//! end-to-end wall-clock; this module accounts for them per epoch, so audit
-//! cost is a number in the report instead of unattributable tail noise, and
-//! throughput can be stated both gross and audit-excluded.
+//! `mem == canonical` comparison running). This module accounts for the
+//! pauses per epoch instead of smearing them into one end-to-end
+//! wall-clock, so audit cost is a number in the report instead of
+//! unattributable tail noise, and throughput can be stated both gross and
+//! audit-excluded.
 
 use std::time::Duration;
 

@@ -36,8 +36,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hi_api::{
-    panic_message, watchdogged, ConcurrentObject, MetricsSnapshot, ObjectHandle, ProbeVerdict,
-    ProgressCounters, SampledAudit, Watched,
+    panic_message, quiescent_view, watchdogged, CanonicalView, ConcurrentObject, MetricsSnapshot,
+    ObjectHandle, ProgressCounters, SampledAudit, Watched,
 };
 use hi_bench::hist::Histogram;
 
@@ -98,7 +98,7 @@ pub struct SoakConfig {
     /// Per-op span tracing: when `true` every envelope is stamped at
     /// ingress, dequeue and completion, and the report splits end-to-end
     /// latency into queue wait + service time (per scenario and per
-    /// worker). When `false` the workers run the untraced PR-8 path — one
+    /// worker). When `false` the workers run the untraced path — one
     /// end-to-end sample per op, no extra clock reads — and the span
     /// histograms stay empty.
     pub trace: bool,
@@ -279,12 +279,8 @@ pub enum SoakError {
     NotCanonical {
         /// The epoch whose barrier failed.
         epoch: usize,
-        /// The decoded abstract state, rendered.
-        state: String,
-        /// The observed quiescent memory.
-        mem: Vec<u64>,
-        /// The expected canonical representation.
-        canonical: Vec<u64>,
+        /// The quiescent memory next to the canonical form of its state.
+        view: CanonicalView,
     },
     /// A drain barrier's **sampled** big-domain audit found a violation:
     /// an exhaustively-checked shard off its canonical image, or a
@@ -302,10 +298,9 @@ pub enum SoakError {
     ProbeNotCanonical {
         /// The epoch whose load phase the probe sampled.
         epoch: usize,
-        /// The decoded abstract state, rendered.
-        state: String,
-        /// The observed mid-flight memory.
-        mem: Vec<u64>,
+        /// The mid-flight memory next to the canonical form of the state
+        /// it decodes to (empty when it decodes to none).
+        view: CanonicalView,
     },
     /// A worker or client thread panicked.
     Panicked {
@@ -330,24 +325,16 @@ pub enum SoakError {
 impl fmt::Display for SoakError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SoakError::NotCanonical {
-                epoch,
-                state,
-                mem,
-                canonical,
-            } => write!(
-                f,
-                "drain barrier of epoch {epoch}: quiescent memory of state {state} is {mem:?}, \
-                 expected canonical {canonical:?}"
-            ),
+            SoakError::NotCanonical { epoch, view } => {
+                write!(f, "drain barrier of epoch {epoch}: quiescent {view}")
+            }
             SoakError::SampledNotCanonical { epoch, detail } => write!(
                 f,
                 "sampled audit at the drain barrier of epoch {epoch}: {detail}"
             ),
-            SoakError::ProbeNotCanonical { epoch, state, mem } => write!(
+            SoakError::ProbeNotCanonical { epoch, view } => write!(
                 f,
-                "online probe in epoch {epoch}: mid-flight memory {mem:?} is not the canonical \
-                 representation of any state (decoded {state}) on a Perfect-HI backend"
+                "online probe in epoch {epoch} on a Perfect-HI backend: mid-flight {view}"
             ),
             SoakError::Panicked { worker, message } => match worker {
                 Some(w) => write!(f, "worker {w} panicked: {message}"),
@@ -467,7 +454,7 @@ impl<S: EnumerableSpec> SoakPlan<S> {
 struct ProbeOut {
     taken: usize,
     passed: usize,
-    first_failure: Option<ProbeVerdict>,
+    first_failure: Option<CanonicalView>,
 }
 
 /// What one epoch hands back to the soak loop.
@@ -576,12 +563,12 @@ where
             s.spawn(move || {
                 let mut po = ProbeOut::default();
                 loop {
-                    let verdict = p.sample();
+                    let view = p.sample();
                     po.taken += 1;
-                    if verdict.canonical {
+                    if view.is_canonical() {
                         po.passed += 1;
                     } else if po.first_failure.is_none() {
-                        po.first_failure = Some(verdict);
+                        po.first_failure = Some(view);
                     }
                     if po.taken >= cfg.online_probes || probing_done.load(GAUGE_ORD) {
                         return po;
@@ -835,12 +822,8 @@ where
 
         // Online probe verdicts: a failed sample on a Perfect backend is a
         // mid-flight HI violation, reported like a failed barrier audit.
-        if let Some(v) = out.probes.first_failure {
-            return Err(SoakError::ProbeNotCanonical {
-                epoch,
-                state: v.state,
-                mem: v.mem,
-            });
+        if let Some(view) = out.probes.first_failure {
+            return Err(SoakError::ProbeNotCanonical { epoch, view });
         }
         if out.probes.taken > 0 {
             report.metrics.online = OnlineAudit::Sampled;
@@ -851,33 +834,29 @@ where
         // enforces this — `mem_snapshot()` here cannot alias a live
         // worker.
         let pause_start = Instant::now();
-        let mem = obj.mem_snapshot();
-        if auditable {
-            // Big-domain backends offer a sampled composed audit; prefer
-            // it exactly when offered — the full-image comparison stays
-            // the barrier check everywhere else.
-            if let Some(sample) =
-                obj.sampled_audit(handle_seed(cfg.seed ^ SAMPLED_AUDIT_SALT, epoch))
-            {
-                if let Some(detail) = sample.failure.clone() {
-                    return Err(SoakError::SampledNotCanonical { epoch, detail });
-                }
+        // Big-domain backends offer a sampled composed audit; prefer it
+        // exactly when offered — the full-image comparison stays the
+        // barrier check everywhere else.
+        let seed = handle_seed(cfg.seed ^ SAMPLED_AUDIT_SALT, epoch);
+        let view = match auditable.then(|| obj.sampled_audit(seed)).flatten() {
+            Some(SampledAudit {
+                failure: Some(detail),
+                ..
+            }) => return Err(SoakError::SampledNotCanonical { epoch, detail }),
+            Some(sample) => {
                 report.sampled_audits.push(sample);
-            } else {
-                let state = obj.abstract_state();
-                let canonical = obj
-                    .canonical(&state)
-                    .expect("auditable HiLevel must fix a canonical form");
-                if mem != canonical {
-                    return Err(SoakError::NotCanonical {
-                        epoch,
-                        state: format!("{state:?}"),
-                        mem,
-                        canonical,
-                    });
-                }
+                None
             }
-        }
+            None => quiescent_view(obj),
+        };
+        // One memory read per barrier: the view's, when it judged one.
+        let mem = match view {
+            Some(view) if !view.is_canonical() => {
+                return Err(SoakError::NotCanonical { epoch, view })
+            }
+            Some(view) => view.observed,
+            None => obj.mem_snapshot(),
+        };
         observe(&AuditPoint {
             epoch,
             applied: report.ops_applied,

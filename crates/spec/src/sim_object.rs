@@ -107,8 +107,10 @@ pub type StateOracle<S, I> = Box<dyn FnMut(&Executor<S, I>) -> <S as ObjectSpec>
 
 /// One direct-canonicity observation: the memory representation proper
 /// extracted from `mem(C)` next to the canonical representation of the
-/// decoded abstract state. Produced by a [`CanonicalOracle`] at each
-/// permitted observation point; any mismatch is an HI violation.
+/// decoded abstract state; any mismatch is an HI violation. The one verdict
+/// of both worlds: [`CanonicalOracle`]s and the threaded audits (`hi_api`'s
+/// drive, probes and sampled shards, `hi_service`'s barriers) build it, and
+/// its [`Display`](fmt::Display) is the one rendering of a failed check.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CanonicalView {
     /// The observed memory representation (synchronization-only cells
@@ -119,6 +121,23 @@ pub struct CanonicalView {
     pub canonical: Vec<u64>,
     /// The decoded abstract state, rendered for error messages.
     pub state: String,
+}
+
+impl CanonicalView {
+    /// Whether the observed memory is the canonical representation.
+    pub fn is_canonical(&self) -> bool {
+        self.observed == self.canonical
+    }
+}
+
+impl fmt::Display for CanonicalView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "memory {:?} is not the canonical representation {:?} of state {}",
+            self.observed, self.canonical, self.state
+        )
+    }
 }
 
 /// A direct-canonicity oracle: maps `mem(C)` to a [`CanonicalView`].
@@ -349,13 +368,8 @@ impl<S: ObjectSpec, I: Implementation<S>> SimAuditor<S, I> {
                     .map(|v| v.to_string()),
                 Check::Direct(oracle) => {
                     let view = oracle(&exec.snapshot());
-                    (view.observed != view.canonical).then(|| {
-                        format!(
-                            "at a permitted ({model:?}) point, memory {:?} is not the canonical \
-                             representation {:?} of state {}",
-                            view.observed, view.canonical, view.state
-                        )
-                    })
+                    (!view.is_canonical())
+                        .then(|| format!("at a permitted ({model:?}) point, {view}"))
                 }
             };
         }

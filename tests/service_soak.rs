@@ -8,9 +8,12 @@
 
 use std::time::Duration;
 
-use hi_concurrent::api::HashTableObject;
+use hi_concurrent::api::{
+    drive, CanonicalView, ConcurrentObject, DriveConfig, DriveError, HashTableObject, HiLevel,
+    HiSetObject, OnlineProbe, Progress, Roles,
+};
 use hi_concurrent::bench::hist::Histogram;
-use hi_concurrent::core::objects::HashSetSpec;
+use hi_concurrent::core::objects::{HashSetSpec, SetSpec};
 use hi_concurrent::core::KeyDist;
 use hi_concurrent::service::{
     run_soak, soak_registry, soak_scenario, soak_watchdogged, Backpressure, OnlineAudit,
@@ -389,9 +392,11 @@ fn soak_errors_render_their_diagnosis() {
     // the Display surface the CI log shows.
     let e = SoakError::NotCanonical {
         epoch: 2,
-        state: "7".into(),
-        mem: vec![1, 2],
-        canonical: vec![1, 3],
+        view: CanonicalView {
+            observed: vec![1, 2],
+            canonical: vec![1, 3],
+            state: "7".into(),
+        },
     };
     let msg = e.to_string();
     assert!(msg.contains("epoch 2"), "{msg}");
@@ -399,8 +404,11 @@ fn soak_errors_render_their_diagnosis() {
 
     let e = SoakError::ProbeNotCanonical {
         epoch: 1,
-        state: "0x3".into(),
-        mem: vec![9],
+        view: CanonicalView {
+            observed: vec![9],
+            canonical: Vec::new(),
+            state: "0x3".into(),
+        },
     };
     let msg = e.to_string();
     assert!(
@@ -408,4 +416,113 @@ fn soak_errors_render_their_diagnosis() {
         "{msg}"
     );
     assert!(msg.contains("[9]") && msg.contains("0x3"), "{msg}");
+}
+
+/// A perfect-HI set whose every memory read comes back with cell 0
+/// flipped: what each threaded audit sees of a backend that leaks one bit.
+struct FlippedCell0(HiSetObject);
+
+fn flip_cell0(mut mem: Vec<u64>) -> Vec<u64> {
+    mem[0] ^= 1;
+    mem
+}
+
+impl ConcurrentObject<SetSpec> for FlippedCell0 {
+    type Handle<'a>
+        = <HiSetObject as ConcurrentObject<SetSpec>>::Handle<'a>
+    where
+        Self: 'a;
+
+    fn spec(&self) -> &SetSpec {
+        self.0.spec()
+    }
+
+    fn roles(&self) -> Roles {
+        self.0.roles()
+    }
+
+    fn hi_level(&self) -> HiLevel {
+        self.0.hi_level()
+    }
+
+    fn progress(&self) -> Progress {
+        self.0.progress()
+    }
+
+    fn handles(&mut self) -> Vec<Self::Handle<'_>> {
+        self.0.handles()
+    }
+
+    fn handles_with_probe(&mut self) -> (Vec<Self::Handle<'_>>, Option<OnlineProbe<'_>>) {
+        let (handles, probe) = self.0.handles_with_probe();
+        let probe = probe.map(|p| {
+            OnlineProbe::new(move || {
+                let view = p.sample();
+                CanonicalView {
+                    observed: flip_cell0(view.observed),
+                    ..view
+                }
+            })
+        });
+        (handles, probe)
+    }
+
+    fn mem_snapshot(&self) -> Vec<u64> {
+        flip_cell0(self.0.mem_snapshot())
+    }
+
+    fn canonical(&self, state: &u64) -> Option<Vec<u64>> {
+        self.0.canonical(state)
+    }
+
+    fn abstract_state(&self) -> u64 {
+        self.0.abstract_state()
+    }
+}
+
+/// A failed audit's message is the one `CanonicalView` rendering of its
+/// own, genuinely non-canonical view.
+fn assert_renders(msg: String, view: &CanonicalView) {
+    assert_ne!(view.observed, view.canonical, "{msg}");
+    assert!(msg.contains("is not the canonical representation"), "{msg}");
+    assert!(msg.contains(&format!("{:?}", view.observed)), "{msg}");
+}
+
+#[test]
+fn a_corrupt_object_fails_every_threaded_audit_with_one_rendering() {
+    let fresh = || FlippedCell0(HiSetObject::new(SetSpec::new(4), 2));
+    let cfg = DriveConfig {
+        ops_per_handle: 20,
+        ..DriveConfig::default()
+    };
+    match drive(&mut fresh(), &cfg) {
+        Err(e) => match &e {
+            DriveError::NotCanonical(view) => assert_renders(e.to_string(), view),
+            _ => panic!("expected NotCanonical, got {e}"),
+        },
+        Ok(_) => panic!("drive passed a corrupt object"),
+    }
+
+    let soak = SoakConfig {
+        online_probes: 0,
+        ..ci_cfg(5)
+    };
+    match run_soak(&mut fresh(), &soak) {
+        Err(e) => match &e {
+            SoakError::NotCanonical { epoch: 0, view } => assert_renders(e.to_string(), view),
+            _ => panic!("expected a barrier NotCanonical in epoch 0, got {e}"),
+        },
+        Ok(_) => panic!("the drain barrier passed a corrupt object"),
+    }
+    let probed = SoakConfig {
+        online_probes: 4,
+        ..soak
+    };
+    match run_soak(&mut fresh(), &probed) {
+        Err(e) => match &e {
+            SoakError::ProbeNotCanonical { epoch: 0, view } => assert_renders(e.to_string(), view),
+            _ => panic!("expected ProbeNotCanonical in epoch 0, got {e}"),
+        },
+        Ok(_) => panic!("the online probe passed a corrupt object"),
+    }
 }

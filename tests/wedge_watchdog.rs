@@ -195,7 +195,7 @@ fn wedged_backend_resolves_to_a_structured_error_within_the_deadline() {
             }
             let rendered = format!(
                 "{}",
-                DriveError::<CounterSpec>::Wedged {
+                DriveError::Wedged {
                     after,
                     stalled,
                     mem
